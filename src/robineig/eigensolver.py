@@ -1,25 +1,23 @@
-"""Scan-and-bisect principal eigenvalue solver.
+"""Principal eigenvalue solver: one bisection on the sign of the shooting residual.
 
-The residual is scanned on a uniform grid over the admissible spectral
-window, every sign-change subinterval is bracketed, and the leftmost bracket
-is bisected to tolerance.  The accepted root must additionally carry a
-positive eigenfunction (sampled on 1001 uniform points); if it does not, the
-next bracket is tried and the rejection is logged.
+Inside the quarter-period window ``(0, pi^2/(4 c^2 kappa))`` the residual is
+positive exactly below the principal eigenvalue (see ``principal_eigenvalue``),
+so its sign is a monotone predicate.  The solver evaluates it once at the
+window cap, refuses if it is still positive there, and otherwise bisects the
+whole window.  ``bracket_scan`` and ``bisect`` remain for the oracles and the
+limit-equation roots.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .characteristic import char_f
 from .model import Params, SolverConfig, check_placement, validate_params
 from .propagator import eigenfunction_profile, shooting_residual
-
-log = logging.getLogger(__name__)
 
 _POSITIVITY_SAMPLES = 1001
 
@@ -88,9 +86,11 @@ def bisect(residual, b: Bracket, tol: float) -> float:
 
 
 def _bisect(residual, b: Bracket, tol: float) -> tuple[float, Bracket, int]:
+    """Bisect on the predicate ``residual > 0``, deciding each step by sign
+    comparison (a product of two small residuals can underflow to zero)."""
     if b.lo == b.hi:
         return b.lo, b, 0
-    if not (b.lo < b.hi and b.r_lo * b.r_hi < 0.0):
+    if not (b.lo < b.hi and (b.r_lo > 0.0 >= b.r_hi or b.r_hi > 0.0 >= b.r_lo)):
         raise ValueError(f"invalid bracket {b}")
     lo, hi, r_lo, r_hi = b.lo, b.hi, b.r_lo, b.r_hi
     iters = 0
@@ -102,14 +102,10 @@ def _bisect(residual, b: Bracket, tol: float) -> tuple[float, Bracket, int]:
         if not math.isfinite(r_mid):
             raise SolverError(f"non-finite residual at lambda={mid}")
         iters += 1
-        if r_mid == 0.0:
-            lo = hi = mid
-            r_lo = r_hi = 0.0
-            break
-        if r_lo * r_mid < 0.0:
-            hi, r_hi = mid, r_mid
-        else:
+        if (r_mid > 0.0) == (r_lo > 0.0):
             lo, r_lo = mid, r_mid
+        else:
+            hi, r_hi = mid, r_mid
     return 0.5 * (lo + hi), Bracket(lo, hi, r_lo, r_hi), iters
 
 
@@ -120,41 +116,62 @@ def eigenfunction_positive(a: float, p: Params, lam: float) -> bool:
 
 
 def principal_eigenvalue(a: float, p: Params, cfg: SolverConfig) -> EigenResult:
-    """Leftmost positive-eigenfunction root of the shooting residual.
+    """Principal eigenvalue lambda1 for placement a, by bisecting the sign of
+    the shooting residual r over the whole window ``(0, lambda_max]``.
 
-    On an empty scan, the grid count is doubled up to ``max_refine`` times,
-    then the lower window edge is dropped by a factor of 1000 once; if the
-    scan is still empty the solver fails.
+    Why the sign is the predicate.  Let u be the solution shot from
+    ``(u, u') = (1, beta0)`` at x = 0, and take 0 < lambda < cap =
+    pi^2/(4 c^2 kappa).
+
+    - On [0, a], u'' = lambda u with u, u' >= 0 at the start, so u and u'
+      stay positive.
+    - On the kappa-piece, u = R cos(omega s - phi) with phi in [0, pi/2),
+      and omega c < pi/2, so u has no zero.
+    - On [a+c, 1], a zero of u forces u'' = lambda u < 0 after it, so
+      u(1) <= 0, u'(1) < 0 and r < 0.
+
+    So r > 0 exactly when u > 0 on [0, 1] and r > 0, which holds exactly
+    when lambda < lambda1, because the principal eigenvalue mu1(lambda) of
+    -u'' - lambda m u under these Robin conditions is concave in lambda with
+    mu1(0) > 0 (Hess-Kato 1980; Pryce 1993).
+
+    The search starts from the closed-form limit r(0+) = beta0 + beta1 +
+    beta0*beta1 > 0 and one residual at ``lambda_max``.  If that is still
+    positive, lambda1 lies above the window and the solve is refused after a
+    single residual call.  Otherwise the bracket ``r_lo > 0 >= r_hi`` is
+    bisected to width ``cfg.tol``.  The eigenfunction is then checked for
+    positivity on 1001 samples at ``bracket.lo``, where the lemma makes it
+    strictly positive; at the midpoint, the left-shot reconstruction of an
+    eigenfunction that decays towards x = 1 is ill-conditioned.
+
+    ``cfg.n_lambda`` and ``cfg.max_refine`` are not read.
     """
     validate_params(p)
     check_placement(a, p.c)
 
     def residual(lam: float) -> float:
-        return shooting_residual(a, p, lam)
+        try:
+            return shooting_residual(a, p, lam)
+        except OverflowError:
+            raise SolverError(
+                f"shooting residual overflows at lambda={lam:.6g} (a={a}, p={p})"
+            ) from None
 
     w = spectral_window(p.c, p.kappa)
-    n = cfg.n_lambda
-    brackets = bracket_scan(residual, w, n)
-    refines = 0
-    while not brackets and refines < cfg.max_refine:
-        n *= 2
-        refines += 1
-        brackets = bracket_scan(residual, w, n)
-    if not brackets:
-        brackets = bracket_scan(residual, replace(w, lambda_min=w.lambda_min / 1e3), n)
-    if not brackets:
+    r_cap = residual(w.lambda_max)
+    if not math.isfinite(r_cap):
+        raise SolverError(f"non-finite residual at lambda={w.lambda_max}")
+    if r_cap > 0.0:
         raise SolverError(
-            f"no bracket found after {cfg.max_refine} refinements (a={a}, p={p})"
+            f"no bracket: lambda1 above the window cap {w.lambda_max:.6g} (a={a}, p={p})"
         )
-
-    for b in brackets:
-        lam, final, iters = _bisect(residual, b, cfg.tol)
-        if eigenfunction_positive(a, p, lam):
-            return EigenResult(lam, final, iters, abs(char_f(a, p, lam)), True)
-        log.warning(
-            "root %.12g rejected: eigenfunction not positive (a=%g, p=%s)", lam, a, p
-        )
-    raise SolverError(f"no positive eigenfunction among roots (a={a}, p={p})")
+    r_zero = p.beta0 + p.beta1 + p.beta0 * p.beta1
+    lam, final, iters = _bisect(residual, Bracket(0.0, w.lambda_max, r_zero, r_cap), cfg.tol)
+    if final.lo == 0.0:
+        raise SolverError(f"lambda1 below the tolerance {cfg.tol:g} (a={a}, p={p})")
+    if not eigenfunction_positive(a, p, final.lo):
+        raise SolverError(f"eigenfunction not positive at lambda={final.lo:.12g} (a={a}, p={p})")
+    return EigenResult(lam, final, iters, abs(char_f(a, p, lam)), True)
 
 
 def a_grid(c: float, n_a: int) -> list[float]:

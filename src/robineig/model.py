@@ -8,6 +8,7 @@ are immutable values; downstream modules assume validated inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,7 +25,13 @@ class Params:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Scan-and-bisect solver knobs."""
+    """Solver knobs.
+
+    ``tol`` is the absolute bisection width and ``n_a`` the placement grid
+    size.  ``n_lambda`` and ``max_refine`` (the scan grid and its doublings
+    of the earlier scan-and-bisect solver) are still parsed and validated,
+    but ``principal_eigenvalue`` no longer reads them.
+    """
 
     n_lambda: int = 900
     tol: float = 1e-10
@@ -49,10 +56,13 @@ class SweepConfig:
 def validate_params(p: Params) -> Params:
     """Check the instance invariants and return ``p`` unchanged.
 
-    Raises ValueError on any violation.  A pure-Neumann pair (both betas
-    zero) is rejected because the positive principal eigenvalue is then not
-    guaranteed to exist.
+    Raises ValueError on any violation, NaN and infinities included.  A
+    pure-Neumann pair (both betas zero) is rejected because the positive
+    principal eigenvalue is then not guaranteed to exist.
     """
+    for name in ("c", "kappa", "beta0", "beta1"):
+        if not math.isfinite(getattr(p, name)):
+            raise ValueError(f"{name} must be finite: {getattr(p, name)}")
     if not (0.0 < p.c < 1.0):
         raise ValueError(f"c out of range (0,1): {p.c}")
     if not p.kappa > 0.0:

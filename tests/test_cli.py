@@ -24,6 +24,25 @@ class TestSolve:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--kappa", "inf"), ("--beta0", "nan")])
+    def test_non_finite_input_exit_1(self, capsys, flag, value):
+        args = {"--c": "0.3", "--kappa": "2", "--beta0": "4", "--beta1": "4", "--a": "0.35"}
+        args[flag] = value
+        code = main(["solve", *(x for kv in args.items() for x in kv)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "must be finite" in err
+        assert "Traceback" not in err
+
+    def test_residual_overflow_exit_2(self, capsys):
+        code = main([
+            "solve", "--c", "0.001", "--kappa", "0.01", "--beta0", "1", "--beta1", "1",
+            "--a", "0.3",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "overflows at lambda=" in err
+
     def test_solver_failure_exit_2(self, capsys):
         code = main([
             "solve", "--c", "0.3", "--kappa", "2", "--beta0", "8", "--beta1", "0.2",

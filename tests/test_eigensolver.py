@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from test_characteristic import leftmost_char_f_root
 
+import robineig.eigensolver
 from robineig.eigensolver import (
     Bracket,
     SolverError,
@@ -134,6 +136,40 @@ class TestPrincipalEigenvalue:
         p = Params(0.3, 2.0, 8.0, 0.2)
         with pytest.raises(SolverError, match="no bracket"):
             principal_eigenvalue(0.0, p, SolverConfig(n_lambda=300, max_refine=2))
+
+    def test_residual_call_counts(self, monkeypatch, p_default, cfg_default):
+        calls = []
+        residual = robineig.eigensolver.shooting_residual
+
+        def counted(a, p, lam):
+            calls.append(lam)
+            return residual(a, p, lam)
+
+        monkeypatch.setattr(robineig.eigensolver, "shooting_residual", counted)
+        with pytest.raises(SolverError, match=r"no bracket: lambda1 above the window cap 13\.7078 "):
+            principal_eigenvalue(0.0, Params(0.3, 2.0, 8.0, 0.2), cfg_default)
+        assert len(calls) == 1
+        calls.clear()
+        res = principal_eigenvalue(0.35, p_default, cfg_default)
+        assert len(calls) == res.iterations + 1 <= 45
+
+    @pytest.mark.parametrize("a, p", [
+        # lambda1 = 413.88, well below the cap of 658
+        (0.05, Params(0.05, 1.5, 0.05, 20.0)),
+        # lambda1 = 739.93; positivity fails at the final bracket's midpoint
+        (0.15366534350821953,
+         Params(0.05243843205098664, 1.1238935388194145, 0.14732230439124913, 21.456507316098065)),
+    ])
+    def test_decaying_eigenfunction_is_accepted(self, cfg_default, a, p):
+        # the eigenfunction decays steeply towards the absorbing right end
+        res = principal_eigenvalue(a, p, cfg_default)
+        assert res.positive_ok
+        assert abs(res.lam - leftmost_char_f_root(a, p)) <= 1e-10 * res.lam
+
+    def test_lambda1_below_tolerance_is_refused(self, cfg_default):
+        # with a nonnegative weight integral, lambda1 -> 0 as both betas vanish
+        with pytest.raises(SolverError, match="below the tolerance"):
+            principal_eigenvalue(0.1, Params(0.5, 2.0, 1e-13, 1e-13), cfg_default)
 
     def test_rejects_invalid_inputs(self, cfg_default):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from robineig.model import (
@@ -46,6 +48,13 @@ class TestValidateParams:
     def test_one_sided_neumann_allowed(self):
         validate_params(Params(0.3, 2.0, 0.0, 1.0))
         validate_params(Params(0.3, 2.0, 1.0, 0.0))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["c", "kappa", "beta0", "beta1"])
+    def test_non_finite_rejected(self, name, value):
+        p = dataclasses.replace(Params(0.3, 2.0, 1.0, 1.0), **{name: value})
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            validate_params(p)
 
 
 class TestCheckPlacement:
