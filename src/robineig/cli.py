@@ -94,12 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_solve(args) -> None:
     p = validate_params(Params(args.c, args.kappa, args.beta0, args.beta1))
     res = principal_eigenvalue(args.a, p, _solver_config(args))
+    rayleigh = rayleigh_check(args.a, p, res)
     print(f"lambda: {res.lam:.12g}")
     print(f"bracket: [{res.bracket.lo:.12g}, {res.bracket.hi:.12g}]")
     print(f"iterations: {res.iterations}")
     print(f"char_f_residual: {res.char_f_residual:.6g}")
     print(f"positive_ok: {str(res.positive_ok).lower()}")
-    print(f"rayleigh_rel_err: {rayleigh_check(args.a, p, res):.6g}")
+    print(f"rayleigh_rel_err: {rayleigh:.6g}")
 
 
 def cmd_curve(args) -> None:

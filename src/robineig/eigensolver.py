@@ -187,33 +187,86 @@ def lambda_curve(p: Params, cfg: SolverConfig) -> list[tuple[float, float]]:
     return [(a, principal_eigenvalue(a, p, cfg).lam) for a in a_grid(p.c, cfg.n_a)]
 
 
-def _simpson(y: np.ndarray, dx: float) -> float:
-    # composite Simpson; len(y) odd
-    return dx / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
+def _sin2_integral(om: float, t: float) -> float:
+    """Integral of sin^2(om s) over [0, t/om], (2t - sin 2t) / (4 om), with
+    the Taylor series of x - sin x below x = 2t = 0.25 (truncation < 1e-15)."""
+    x = 2.0 * t
+    if x < 0.25:
+        x2 = x * x
+        d = x * x2 / 6.0 * (1.0 - x2 / 20.0 * (1.0 - x2 / 42.0 * (1.0 - x2 / 72.0
+                                                                  * (1.0 - x2 / 110.0))))
+    else:
+        d = x - math.sin(x)
+    return d / (4.0 * om)
 
 
-def rayleigh_check(a: float, p: Params, result: EigenResult,
-                   n_per_piece: int = 10_000) -> float:
-    """Relative defect of the Rayleigh quotient at the computed eigenpair.
+def _energy_and_mass(a: float, p: Params, lam: float) -> tuple[float, float]:
+    """Exact numerator and denominator of the Rayleigh quotient of the
+    solution shot from ``(u, u') = (1, beta0)``: ``int u'^2 + beta0 u(0)^2 +
+    beta1 u(1)^2`` and ``int m u^2``, both divided by ``e^{2 mu (1-c)}``,
+    ``mu = sqrt(lambda)``.  The quotient does not change, and nothing
+    overflows.
 
-    The quotient (integral of u'^2 plus the Robin boundary terms, over the
-    weighted integral of u^2) is evaluated by composite Simpson quadrature
-    per constant-weight piece on the reconstructed eigenfunction.
+    One pass over the three constant-weight pieces carries ``(u, u')`` from
+    piece to piece and integrates each piece in closed form.  On the
+    favourable piece ``u = u0 cos(om s) + (u0'/om) sin(om s)``.  On a
+    hyperbolic piece of length L, ``u = A e^{mu s} + B e^{-mu s}`` with
+    ``A, B = (u0 +- u0'/mu) / 2``, and the state is divided by ``e^{mu L}``
+    (the quadratic sums by ``q = e^{-2 mu L}``), so the integrals need only
+    ``q`` and ``expm1(-2 mu L)``.  Expanding in cosh/sinh instead cancels
+    catastrophically when u decays along a long piece.
+    """
+    mu = math.sqrt(lam)
+    u, du = 1.0, p.beta0
+    num, den = p.beta0, 0.0
+    for m, length in ((-1.0, a), (p.kappa, p.c), (-1.0, 1.0 - a - p.c)):
+        if length <= 0.0:
+            continue
+        if m > 0.0:
+            om = math.sqrt(lam * m)
+            t = om * length
+            cs, sn = math.cos(t), math.sin(t)
+            w = du / om
+            s2 = _sin2_integral(om, t)
+            c2 = length - s2
+            sc = sn * sn / (2.0 * om)
+            uu = u * u * c2 + w * w * s2 + 2.0 * u * w * sc
+            vv = om * om * (u * u * s2 + w * w * c2 - 2.0 * u * w * sc)
+            u, du = u * cs + w * sn, om * (w * cs - u * sn)
+        else:
+            grow, decay = 0.5 * (u + du / mu), 0.5 * (u - du / mu)
+            q = math.exp(-2.0 * mu * length)
+            e1 = -math.expm1(-2.0 * mu * length) / (2.0 * mu)
+            aa = grow * grow * e1
+            bb = decay * decay * q * e1
+            ab = 2.0 * grow * decay * length * q
+            uu = aa + bb + ab
+            vv = lam * (aa + bb - ab)
+            num, den = num * q, den * q
+            u, du = grow + decay * q, mu * (grow - decay * q)
+        num += vv
+        den += m * uu
+    return num + p.beta1 * u * u, den
+
+
+def rayleigh_check(a: float, p: Params, result: EigenResult) -> float:
+    """Relative defect ``|num/den - lambda| / lambda`` of the Rayleigh
+    quotient at the computed eigenpair, with the piecewise integrals exact
+    (``_energy_and_mass``).
+
+    What it proves.  On the piecewise-exact u, integration by parts gives
+    ``num/den - lambda = u(1) r(lambda) / int m u^2``, with r the shooting
+    residual.  So the check re-tests the shooting residual, weighted by the
+    mass; it is not an independent certificate.  The independent ones are
+    ``char_f`` (``EigenResult.char_f_residual``) and, in the tests, the
+    finite-element oracle.  A weighted mass that is not positive (or NaN)
+    is a ``SolverError``.
     """
     lam = result.lam
-    num = 0.0
-    den = 0.0
-    b = a + p.c
-    for x0, x1, m in ((0.0, a, -1.0), (a, b, p.kappa), (b, 1.0, -1.0)):
-        if x1 <= x0:
-            continue
-        xs = np.linspace(x0, x1, n_per_piece + 1)
-        u, du = eigenfunction_profile(a, p, lam, xs)
-        dx = (x1 - x0) / n_per_piece
-        num += _simpson(du * du, dx)
-        den += m * _simpson(u * u, dx)
-    u0, _ = eigenfunction_profile(a, p, lam, np.array([0.0, 1.0]))
-    num += p.beta0 * u0[0] ** 2 + p.beta1 * u0[1] ** 2
-    if den <= 0.0:
-        raise SolverError("weighted mass of the eigenfunction is not positive")
+    num, den = _energy_and_mass(a, p, lam)
+    if not den > 0.0:
+        raise SolverError(
+            f"weighted mass of the eigenfunction is not positive at lambda={lam:.12g} "
+            f"(a={a}, p={p})"
+        )
     return abs(num / den - lam) / lam

@@ -43,6 +43,20 @@ class TestSolve:
         assert code == 2
         assert "overflows at lambda=" in err
 
+    def test_certification_failure_prints_nothing_exit_2(self, capsys):
+        # lambda1 = 4211.23 is in the window, but the left-shot eigenfunction
+        # grows like e^46 on the right piece and its weighted mass is negative
+        code = main([
+            "solve", "--c", "0.0230080130735918", "--kappa", "1.0637183352308162",
+            "--beta0", "0.7688863376502032", "--beta1", "2.4459398491955393",
+            "--a", "0.2724338980859347",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "not positive at lambda=4211.23" in captured.err
+        assert "a=0.2724338980859347, p=Params(c=0.0230080130735918" in captured.err
+
     def test_solver_failure_exit_2(self, capsys):
         code = main([
             "solve", "--c", "0.3", "--kappa", "2", "--beta0", "8", "--beta1", "0.2",

@@ -2,14 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from simpson_oracle import _simpson, simpson_defect, simpson_energy_and_mass
 from test_characteristic import leftmost_char_f_root
 
 import robineig.eigensolver
 from robineig.eigensolver import (
     Bracket,
+    EigenResult,
     SolverError,
     SpectralWindow,
-    _simpson,
+    _energy_and_mass,
+    _sin2_integral,
     a_grid,
     bisect,
     bracket_scan,
@@ -20,7 +25,7 @@ from robineig.eigensolver import (
     spectral_window,
 )
 from robineig.model import Params, SolverConfig
-from robineig.propagator import eigenfunction_profile
+from robineig.propagator import eigenfunction_eval, eigenfunction_profile, shooting_residual
 
 FAST = SolverConfig(n_lambda=300, n_a=9)
 
@@ -207,6 +212,20 @@ class TestLambdaCurve:
             lambda_curve(p, SolverConfig(n_lambda=300, n_a=3, max_refine=2))
 
 
+def _quotient_scale(p: Params, lam: float) -> float:
+    # _energy_and_mass divides both sums by e^{2 mu (1-c)}
+    return math.exp(-2.0 * math.sqrt(lam) * (1.0 - p.c))
+
+
+def _assert_matches_simpson_oracle(a: float, p: Params, res: EigenResult) -> None:
+    num, den = _energy_and_mass(a, p, res.lam)
+    ref_num, ref_den = simpson_energy_and_mass(a, p, res.lam)
+    scale = _quotient_scale(p, res.lam)
+    assert num == pytest.approx(scale * ref_num, rel=1e-10, abs=0.0)
+    assert den == pytest.approx(scale * ref_den, rel=1e-10, abs=0.0)
+    assert rayleigh_check(a, p, res) == pytest.approx(simpson_defect(a, p, res.lam), abs=1e-10)
+
+
 class TestRayleighCheck:
     def test_small_relative_error(self, p_default, cfg_default):
         res = principal_eigenvalue(0.35, p_default, cfg_default)
@@ -237,3 +256,122 @@ class TestRayleighCheck:
         p = Params(0.3, 2.0, 1e6, 1e6)
         res = principal_eigenvalue(0.35, p, cfg_default)
         assert rayleigh_check(0.35, p, res) <= 1e-3
+
+    def test_closed_form_matches_simpson_oracle_on_the_solve_box(self, rng, cfg_default):
+        # the box of the benchmark's solve workload: c in [0.15, 0.6], kappa,
+        # beta0, beta1 log-uniform in [0.5, 4], [0.05, 10], [0.05, 10]
+        compared = 0
+        while compared < 200:
+            c = rng.uniform(0.15, 0.6)
+            kappa, b0, b1 = np.exp(rng.uniform(np.log([0.5, 0.05, 0.05]), np.log([4.0, 10.0, 10.0])))
+            a = rng.uniform(0.0, 1.0 - c)
+            p = Params(c, float(kappa), float(b0), float(b1))
+            try:
+                res = principal_eigenvalue(a, p, cfg_default)
+            except SolverError:
+                continue
+            _assert_matches_simpson_oracle(a, p, res)
+            compared += 1
+
+    @pytest.mark.parametrize("a, p", [
+        (0.0, Params(0.3, 2.0, 4.0, 4.0)),  # no left piece
+        (0.7, Params(0.3, 2.0, 4.0, 4.0)),  # no right piece
+        (1e-9, Params(0.3, 2.0, 4.0, 4.0)),
+        (0.7 - 1e-9, Params(0.3, 2.0, 4.0, 4.0)),
+        (0.35, Params(0.3, 2.0, 0.0, 4.0)),
+        (0.0, Params(0.3, 2.0, 0.0, 4.0)),
+    ])
+    def test_edge_placements_match_simpson_oracle(self, a, p, cfg_default):
+        _assert_matches_simpson_oracle(a, p, principal_eigenvalue(a, p, cfg_default))
+
+    @pytest.mark.parametrize("a, beta0", [(0.2, 2e-6), (0.0, 0.0)])
+    def test_eigenvalue_near_window_floor_matches_simpson_oracle(self, a, beta0, cfg_default):
+        # positive mean weight and tiny betas put lambda1 near lambda_min =
+        # 1e-6 * cap, where every piece integral takes its small-argument form
+        p = Params(0.5, 4.0, beta0, 2e-6)
+        res = principal_eigenvalue(a, p, cfg_default)
+        w = spectral_window(p.c, p.kappa)
+        assert res.lam < 2.0 * w.lambda_min
+        assert 2.0 * math.sqrt(res.lam * p.kappa) * p.c < 0.25  # series branch
+        _assert_matches_simpson_oracle(a, p, res)
+
+    @pytest.mark.parametrize("t", [1e-8, 1e-3, 0.1249999, 0.1250001, 1.0, 3.0])
+    def test_sin2_integral_both_branches(self, t):
+        # (2t - sin 2t)/4 = t^3/3 - t^5/15 + 2 t^7/315 - ...; the series is
+        # used below 2t = 0.25, the direct difference above
+        om = 2.5
+        expected = (2.0 * t - math.sin(2.0 * t)) / (4.0 * om)
+        if t < 0.01:
+            expected = (t ** 3 / 3.0 - t ** 5 / 15.0 + 2.0 * t ** 7 / 315.0) / om
+        assert _sin2_integral(om, t) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("a, p", [
+        (0.35, Params(0.3, 2.0, 4.0, 4.0)),
+        (0.1, Params(0.3, 2.0, 1.0, 0.5)),
+        (0.05, Params(0.05, 1.5, 0.05, 20.0)),  # decays towards x = 1
+    ])
+    def test_defect_is_the_weighted_shooting_residual(self, a, p, cfg_default):
+        # integration by parts on the piecewise-exact u:
+        # num/den - lambda = u(1) r(lambda) / int m u^2, so the check re-tests r
+        lam = 1.0001 * principal_eigenvalue(a, p, cfg_default).lam
+        num, den = _energy_and_mass(a, p, lam)
+        mass = den / _quotient_scale(p, lam)
+        u1 = eigenfunction_eval(a, p, lam, 1.0).u
+        weighted_residual = u1 * shooting_residual(a, p, lam) / mass
+        assert num / den - lam == pytest.approx(weighted_residual, rel=1e-8, abs=0.0)
+
+    def test_no_overflow_where_the_unscaled_integrals_would(self, cfg_default):
+        # mu * a = 396: e^{2 mu a} overflows a float, and the shot solution
+        # grows along the whole piece, so nothing is ill-conditioned
+        a, p = 0.99, Params(0.01, 0.1, 1.0, 0.0)
+        res = principal_eigenvalue(a, p, cfg_default)
+        assert 2.0 * math.sqrt(res.lam) * a > 709.8
+        num, den = _energy_and_mass(a, p, res.lam)
+        assert math.isfinite(num) and den > 0.0
+        assert rayleigh_check(a, p, res) <= 1e-12
+
+    def test_mass_refusal_names_lambda_and_instance(self):
+        p = Params(0.3, 2.0, 4.0, 4.0)
+        res = EigenResult(1e-3, Bracket(1e-3, 1e-3, 0.0, 0.0), 0, 0.0, True)
+        with pytest.raises(SolverError, match=r"not positive at lambda=0\.001 \(a=0\.35, p=Params"):
+            rayleigh_check(0.35, p, res)
+
+
+_WIDE_BETA = st.one_of(st.just(0.0), st.floats(-4.0, 3.0).map(lambda e: 10.0 ** e))
+
+
+def _passes(defect) -> bool:
+    try:
+        return defect() <= 1e-6
+    except SolverError:
+        return False
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+# a fail for both (lambda1 = 5.6e-6, where the absolute bisection tolerance
+# leaves a defect of 3.4e-6) and a pass on an eigenfunction decaying to x = 1
+@example(c=0.9, log_kappa=math.log(20.0), beta0=0.0, beta1=1e-4, s=0.0)
+@example(c=0.05, log_kappa=math.log(1.5), beta0=0.05, beta1=20.0, s=0.05 / 0.95)
+@given(c=st.floats(0.01, 0.9), log_kappa=st.floats(math.log(0.01), math.log(20.0)),
+       beta0=_WIDE_BETA, beta1=_WIDE_BETA, s=st.floats(0.0, 1.0))
+def test_closed_form_and_oracle_agree_on_pass_fail_over_the_wide_box(c, log_kappa, beta0,
+                                                                     beta1, s):
+    p = Params(c, math.exp(log_kappa), beta0, beta1)
+    a = s * (1.0 - c)
+    try:
+        res = principal_eigenvalue(a, p, SolverConfig())
+    except (SolverError, ValueError):  # out of window, or the rejected Neumann pair
+        return
+    # Both sides integrate the solution shot from x = 0.  On the right piece
+    # the eigenfunction decays like e^{-mu s}, and rounding in (u, u') at
+    # a + c seeds the growing mode e^{mu s}: its share of the mass grows like
+    # (k eps)^2 e^{2 mu (1-a-c)}, about 1e-12 at mu (1-a-c) = 20 for k = 30.
+    # From about 26 on it reaches the 1e-6 threshold and neither quotient
+    # says anything about lambda1, so decisions are compared only up to 20;
+    # the CLI test of a certification failure shows a case beyond.  Past
+    # mu a = 354 the oracle's samples of u^2 overflow.
+    mu = math.sqrt(res.lam)
+    if mu * (1.0 - a - c) > 20.0 or mu * a > 354.0:
+        return
+    assert _passes(lambda: rayleigh_check(a, p, res)) == _passes(
+        lambda: simpson_defect(a, p, res.lam))
