@@ -1,5 +1,5 @@
 """Principal eigenvalue of the 1-D Laplacian with a two-level indefinite
-weight under inhomogeneous Robin boundary conditions: transfer-matrix
+weight under inhomogeneous Robin boundary conditions: three-piece
 shooting solver, closed-form characteristic cross-checks, minimiser
 classification, and a batch-verification harness."""
 
@@ -37,26 +37,22 @@ from .eigensolver import (
 from .harness import SweepRow, emit_figures, run_sweep, write_csv
 from .model import Params, SolverConfig, SweepConfig, validate_params
 from .propagator import (
-    Mat2,
     StateVec,
     eigenfunction_eval,
     eigenfunction_profile,
-    propagator,
     shooting_residual,
-    transfer_matrix,
 )
 
 __all__ = [
-    "Bracket", "CaseLabel", "EigenResult", "HypothesisReport", "Mat2",
-    "Params", "PoleError", "Prediction", "SolverConfig", "SolverError",
+    "Bracket", "CaseLabel", "EigenResult", "HypothesisReport", "Params",
+    "PoleError", "Prediction", "SolverConfig", "SolverError",
     "SpectralWindow", "StateVec", "SweepConfig", "SweepRow", "a_star",
     "beta0_star", "bisect", "bracket_scan", "c_star", "char_f", "char_g",
     "classify_pair", "compare_prediction", "eigenfunction_eval",
     "eigenfunction_profile", "emit_figures", "hypothesis_bounds",
     "lambda_curve", "limit_char_residual", "limit_root", "numeric_argmin",
-    "principal_eigenvalue", "propagator", "rayleigh_check", "run_sweep",
-    "shooting_residual", "spectral_window", "transfer_matrix",
-    "validate_params", "write_csv",
+    "principal_eigenvalue", "rayleigh_check", "run_sweep",
+    "shooting_residual", "spectral_window", "validate_params", "write_csv",
 ]
 
 __version__ = "0.1.0"

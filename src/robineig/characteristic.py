@@ -2,7 +2,7 @@
 
 ``char_f`` is the four-term determinant form whose smallest positive zero in
 the admissible window is the principal eigenvalue; it serves as an oracle
-independent of the transfer-matrix shooting residual.  The remaining
+independent of the closed-form shooting residual.  The remaining
 functions support the classification theory: the sign function ``char_g``
 driving the a-derivative of the eigenvalue, the linear-in-beta0 coefficients
 behind ``beta0_star``, the amplitude bound ``h``, the admissibility threshold

@@ -23,7 +23,15 @@ from .eigensolver import (
     spectral_window,
 )
 from .harness import emit_figures, run_sweep, write_csv, write_curve_data
-from .model import Params, SolverConfig, load_sweep_config, validate_params
+from .model import Params, SolverConfig, load_sweep_config, validate_params, validate_solver_config
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as invalid input (exit 1), where argparse would
+    exit 2, the code of a solver failure."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def _add_instance_args(sp: argparse.ArgumentParser, with_betas: bool = True) -> None:
@@ -34,23 +42,14 @@ def _add_instance_args(sp: argparse.ArgumentParser, with_betas: bool = True) -> 
         sp.add_argument("--beta1", type=float, required=True, help="Robin parameter at x=1")
 
 
-def _add_solver_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--n-lambda", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
-
-
 def _solver_config(args, **extra) -> SolverConfig:
-    kwargs = {}
-    if args.n_lambda is not None:
-        kwargs["n_lambda"] = args.n_lambda
-    if getattr(args, "tol", None) is not None:
-        kwargs["tol"] = args.tol
+    kwargs = {"tol": args.tol} if args.tol is not None else {}
     kwargs.update(extra)
-    return SolverConfig(**kwargs)
+    return validate_solver_config(SolverConfig(**kwargs))
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="robineig",
         description="Principal eigenvalue of the 1-D indefinite-weight problem "
                     "under inhomogeneous Robin boundary conditions.",
@@ -60,13 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("solve", help="one eigenvalue at a fixed placement")
     _add_instance_args(sp)
     sp.add_argument("--a", type=float, required=True, help="favourable interval left end")
-    _add_solver_args(sp)
+    sp.add_argument("--tol", type=float, default=None)
 
     sp = sub.add_parser("curve", help="eigenvalue curve over the placement grid")
     _add_instance_args(sp)
     sp.add_argument("--n-a", type=int, default=None)
     sp.add_argument("--out", type=str, default=None, help="write data file instead of stdout")
-    _add_solver_args(sp)
+    sp.add_argument("--tol", type=float, default=None)
 
     sp = sub.add_parser("sweep", help="batch verification over a Robin grid")
     sp.add_argument("--config", type=str, default=None, help="flat key=value config file")
@@ -76,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--figdir", type=str, default=None, help="figure output directory")
     sp.add_argument("--workers", type=int, default=1)
     for name, typ in (("--c", float), ("--kappa", float), ("--beta-min", float),
-                      ("--beta-max", float), ("--n-beta", int), ("--n-lambda", int),
-                      ("--n-a", int), ("--tol", float)):
+                      ("--beta-max", float), ("--n-beta", int), ("--n-a", int),
+                      ("--tol", float)):
         sp.add_argument(name, type=typ, default=None)
 
     sp = sub.add_parser("check-hypotheses", help="theorem hypothesis status")
@@ -119,7 +118,7 @@ def cmd_sweep(args) -> None:
     overrides = {
         "c": args.c, "kappa": args.kappa,
         "beta_min": args.beta_min, "beta_max": args.beta_max, "n_beta": args.n_beta,
-        "n_lambda": args.n_lambda, "n_a": args.n_a, "tol": args.tol,
+        "n_a": args.n_a, "tol": args.tol,
         "out_csv": args.out, "fig_dir": args.figdir,
     }
     cfg = load_sweep_config(args.config, overrides)
@@ -170,8 +169,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,8 @@ from .characteristic import char_f
 from .model import Params, SolverConfig, check_placement, validate_params
 from .propagator import eigenfunction_profile, shooting_residual
 
-_POSITIVITY_SAMPLES = 1001
+_POSITIVITY_XS = np.linspace(0.0, 1.0, 1001)  # built once, not per positivity check
+_POSITIVITY_XS.flags.writeable = False
 
 
 class SolverError(RuntimeError):
@@ -110,8 +111,7 @@ def _bisect(residual, b: Bracket, tol: float) -> tuple[float, Bracket, int]:
 
 
 def eigenfunction_positive(a: float, p: Params, lam: float) -> bool:
-    xs = np.linspace(0.0, 1.0, _POSITIVITY_SAMPLES)
-    u, _ = eigenfunction_profile(a, p, lam, xs)
+    u, _ = eigenfunction_profile(a, p, lam, _POSITIVITY_XS)
     return bool(np.all(u > 0.0))
 
 
@@ -143,8 +143,6 @@ def principal_eigenvalue(a: float, p: Params, cfg: SolverConfig) -> EigenResult:
     positivity on 1001 samples at ``bracket.lo``, where the lemma makes it
     strictly positive; at the midpoint, the left-shot reconstruction of an
     eigenfunction that decays towards x = 1 is ill-conditioned.
-
-    ``cfg.n_lambda`` and ``cfg.max_refine`` are not read.
     """
     validate_params(p)
     check_placement(a, p.c)
@@ -171,7 +169,21 @@ def principal_eigenvalue(a: float, p: Params, cfg: SolverConfig) -> EigenResult:
         raise SolverError(f"lambda1 below the tolerance {cfg.tol:g} (a={a}, p={p})")
     if not eigenfunction_positive(a, p, final.lo):
         raise SolverError(f"eigenfunction not positive at lambda={final.lo:.12g} (a={a}, p={p})")
-    return EigenResult(lam, final, iters, abs(char_f(a, p, lam)), True)
+    return EigenResult(lam, final, iters, char_f_residual(a, p, lam), True)
+
+
+def char_f_residual(a: float, p: Params, lam: float) -> float:
+    """``|char_f|`` divided by the size of its terms, ``cosh(mu (1-c))
+    (kappa + 1 + 2 sqrt(kappa)) (lambda + beta0 beta1 + mu (beta0 + beta1))``
+    with ``mu = sqrt(lambda)``.  Each of the four terms is at most of that
+    order, because ``|2a + c - 1| <= 1 - c``.  So the ratio can be compared
+    across instances, where ``|char_f|`` itself grows like ``e^{mu (1-c)}``
+    and ``beta0 beta1``; it stays near 1e-11 or below unless the absolute
+    bisection tolerance is coarse next to a small lambda."""
+    mu = math.sqrt(lam)
+    scale = (math.cosh(mu * (1.0 - p.c)) * (p.kappa + 1.0 + 2.0 * math.sqrt(p.kappa))
+             * (lam + p.beta0 * p.beta1 + mu * (p.beta0 + p.beta1)))
+    return abs(char_f(a, p, lam)) / scale
 
 
 def a_grid(c: float, n_a: int) -> list[float]:

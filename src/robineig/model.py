@@ -25,18 +25,11 @@ class Params:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver knobs.
+    """Solver knobs: ``tol`` is the absolute bisection width and ``n_a`` the
+    placement grid size."""
 
-    ``tol`` is the absolute bisection width and ``n_a`` the placement grid
-    size.  ``n_lambda`` and ``max_refine`` (the scan grid and its doublings
-    of the earlier scan-and-bisect solver) are still parsed and validated,
-    but ``principal_eigenvalue`` no longer reads them.
-    """
-
-    n_lambda: int = 900
     tol: float = 1e-10
     n_a: int = 81
-    max_refine: int = 5
 
 
 @dataclass(frozen=True)
@@ -82,33 +75,31 @@ def check_placement(a: float, c: float) -> float:
 
 
 def validate_solver_config(cfg: SolverConfig) -> SolverConfig:
-    if cfg.n_lambda < 2:
-        raise ValueError(f"n_lambda must be >= 2: {cfg.n_lambda}")
-    if not cfg.tol > 0.0:
-        raise ValueError(f"tol must be positive: {cfg.tol}")
+    if not (cfg.tol > 0.0 and math.isfinite(cfg.tol)):
+        raise ValueError(f"tol must be finite and positive: {cfg.tol}")
     if cfg.n_a < 2:
         raise ValueError(f"n_a must be >= 2: {cfg.n_a}")
-    if cfg.max_refine < 0:
-        raise ValueError(f"max_refine must be >= 0: {cfg.max_refine}")
     return cfg
 
 
 def validate_sweep_config(cfg: SweepConfig) -> SweepConfig:
+    """Check the grid and the solver knobs, and the base instance with the
+    grid's corner betas through ``validate_params``."""
     if not (0.0 <= cfg.beta_min < cfg.beta_max):
         raise ValueError(f"need 0 <= beta_min < beta_max: {cfg.beta_min}, {cfg.beta_max}")
     if cfg.n_beta < 2:
         raise ValueError(f"n_beta must be >= 2: {cfg.n_beta}")
-    if not (0.0 < cfg.c < 1.0):
-        raise ValueError(f"c out of range (0,1): {cfg.c}")
-    if not cfg.kappa > 0.0:
-        raise ValueError(f"kappa must be positive: {cfg.kappa}")
+    try:
+        validate_params(Params(cfg.c, cfg.kappa, cfg.beta_min, cfg.beta_max))
+    except ValueError as exc:
+        raise ValueError(f"sweep base instance (betas = beta_min, beta_max): {exc}") from None
     validate_solver_config(cfg.solver)
     return cfg
 
 
 # keys accepted in a flat key=value configuration file
 _FLOAT_KEYS = {"beta_min", "beta_max", "c", "kappa", "tol"}
-_INT_KEYS = {"n_beta", "n_lambda", "n_a", "max_refine"}
+_INT_KEYS = {"n_beta", "n_a"}
 _STR_KEYS = {"out_csv", "fig_dir"}
 
 
@@ -141,7 +132,7 @@ def load_sweep_config(path: str | Path, overrides: dict | None = None) -> SweepC
         if val is not None:
             values[key] = val
 
-    solver_keys = ("n_lambda", "tol", "n_a", "max_refine")
+    solver_keys = ("tol", "n_a")
     solver_kwargs = {k: values.pop(k) for k in solver_keys if k in values}
     cfg = SweepConfig(solver=SolverConfig(**solver_kwargs), **values)
     return validate_sweep_config(cfg)

@@ -1,9 +1,11 @@
-"""Closed-form transfer matrices for u'' + lambda*m*u = 0 on constant pieces.
+"""Closed-form propagation of u'' + lambda*m*u = 0 across the three constant pieces.
 
 On a piece where the weight m is constant, the state w = (u, u') evolves as
-w(x0+s) = exp(s*Q) w(x0) with the trace-free generator Q = [[0, 1], [-lambda*m, 0]].
-For m > 0 the exponential is the trigonometric rotation-like block, for m < 0
-the hyperbolic one; both have determinant exactly 1.  No generic expm is used.
+w(x0+s) = exp(s*Q) w(x0) with the trace-free generator Q = [[0, 1], [-lambda*m, 0]]:
+the trigonometric block on the favourable piece (m = kappa > 0), the
+hyperbolic one where m = -1.  ``propagate`` is the only place these blocks
+are written; the shooting residual, the pointwise state and the sampled
+profile are each one call of it with their own piece lengths.
 """
 
 from __future__ import annotations
@@ -15,90 +17,43 @@ import numpy as np
 
 from .model import Params, check_placement
 
-# cosh/sinh overflow far earlier than float64 range ends; arguments this large
-# are outside the admissible spectral window anyway
-_MAX_ARG = 700.0
-
-
-class Mat2(NamedTuple):
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-    def apply(self, u: float, du: float) -> "StateVec":
-        return StateVec(self.m11 * u + self.m12 * du, self.m21 * u + self.m22 * du)
-
 
 class StateVec(NamedTuple):
     u: float
     du: float
 
 
-IDENTITY = Mat2(1.0, 0.0, 0.0, 1.0)
+def propagate(u, du, lam: float, kappa: float, left, mid, right, xp=math):
+    """Carry the state ``(u, u')`` across ``left`` of weight -1, then ``mid``
+    of weight ``kappa``, then ``right`` of weight -1.
 
-
-def propagator(m: float, s: float, lam: float) -> Mat2:
-    """Transfer matrix across a piece of length s with constant weight m."""
-    if s < 0.0:
-        raise ValueError(f"piece length must be >= 0: {s}")
-    if lam <= 0.0:
-        raise ValueError(f"lambda must be positive: {lam}")
-    if m == 0.0:
-        raise ValueError("weight m must be nonzero")
-    if s == 0.0:
-        return IDENTITY
-    if m > 0.0:
-        om = math.sqrt(lam * m)
-        cs, sn = math.cos(om * s), math.sin(om * s)
-        return Mat2(cs, sn / om, -om * sn, cs)
-    mu = math.sqrt(-lam * m)
-    if mu * s > _MAX_ARG:
-        raise ValueError(f"hyperbolic argument {mu * s} out of contract (> {_MAX_ARG})")
-    ch, sh = math.cosh(mu * s), math.sinh(mu * s)
-    return Mat2(ch, sh / mu, mu * sh, ch)
-
-
-def transfer_matrix(a: float, p: Params, lam: float) -> Mat2:
-    """Composed transfer matrix across (0,1) for placement a of the favourable piece."""
-    check_placement(a, p.c)
-    inner = propagator(-1.0, a, lam)
-    mid = propagator(p.kappa, p.c, lam)
-    outer = propagator(-1.0, 1.0 - a - p.c, lam)
-    return outer @ mid @ inner
+    A zero length is exactly the identity (cos 0 = cosh 0 = 1 and sin 0 =
+    sinh 0 = 0), so callers pass lengths, not branches.  The one exception is
+    a state within a factor ``sqrt(lam)`` of overflow, where ``u * sqrt(lam)``
+    is inf and ``inf * sinh(0)`` is nan.  So a scalar ``right <= 0`` is
+    skipped: at ``a = 1 - c`` the residual stays finite, and a right piece
+    that rounds to a negative length is dropped.  With ``xp=numpy`` the
+    lengths (all >= 0) and the result may be arrays.
+    """
+    sq = math.sqrt(lam)
+    ch, sh = xp.cosh(sq * left), xp.sinh(sq * left)
+    u, du = u * ch + du * sh / sq, u * sq * sh + du * ch
+    om = math.sqrt(lam * kappa)
+    cs, sn = xp.cos(om * mid), xp.sin(om * mid)
+    u, du = u * cs + du * sn / om, -u * om * sn + du * cs
+    if xp is math and right <= 0.0:
+        return u, du
+    ch, sh = xp.cosh(sq * right), xp.sinh(sq * right)
+    return u * ch + du * sh / sq, u * sq * sh + du * ch
 
 
 def shooting_residual(a: float, p: Params, lam: float) -> float:
     """Defect of the right Robin condition, u'(1) + beta1*u(1), after
     propagating the normalised left boundary state (1, beta0) across (0,1).
 
-    Zero exactly at the eigenvalues for placement a.  Written as three
-    matrix-vector pushes (not a full matrix product) since this sits in the
-    innermost scan loop.
+    Zero exactly at the eigenvalues for placement a.
     """
-    sq = math.sqrt(lam)
-    u, du = 1.0, p.beta0
-    if a > 0.0:
-        ch, sh = math.cosh(sq * a), math.sinh(sq * a)
-        u, du = u * ch + du * sh / sq, u * sq * sh + du * ch
-    om = math.sqrt(lam * p.kappa)
-    cs, sn = math.cos(om * p.c), math.sin(om * p.c)
-    u, du = u * cs + du * sn / om, -u * om * sn + du * cs
-    t = 1.0 - a - p.c
-    if t > 0.0:
-        ch, sh = math.cosh(sq * t), math.sinh(sq * t)
-        u, du = u * ch + du * sh / sq, u * sq * sh + du * ch
+    u, du = propagate(1.0, p.beta0, lam, p.kappa, a, p.c, 1.0 - a - p.c)
     return du + p.beta1 * u
 
 
@@ -107,52 +62,23 @@ def eigenfunction_eval(a: float, p: Params, lam: float, x: float) -> StateVec:
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x outside [0,1]: {x}")
     check_placement(a, p.c)
-    b = a + p.c
-    w = StateVec(1.0, p.beta0)
-    if x <= a:
-        return propagator(-1.0, x, lam).apply(*w)
-    w = propagator(-1.0, a, lam).apply(*w)
-    if x <= b:
-        return propagator(p.kappa, x - a, lam).apply(*w)
-    w = propagator(p.kappa, p.c, lam).apply(*w)
-    return propagator(-1.0, x - b, lam).apply(*w)
+    return StateVec(*propagate(
+        1.0, p.beta0, lam, p.kappa,
+        min(x, a), min(max(x - a, 0.0), p.c), max(x - a - p.c, 0.0),
+    ))
 
 
 def eigenfunction_profile(
     a: float, p: Params, lam: float, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised (u, u') over sample points xs in [0,1].
-
-    Same piecewise closed forms as eigenfunction_eval; used for positivity
-    checks and quadrature where point-by-point propagation would be slow.
-    """
+    """Vectorised (u, u') over sample points xs in [0,1]; the same lengths
+    as ``eigenfunction_eval``, as arrays."""
     xs = np.asarray(xs, dtype=float)
     if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
         raise ValueError("sample points outside [0,1]")
     check_placement(a, p.c)
-    b = a + p.c
-    sq = math.sqrt(lam)
-    om = math.sqrt(lam * p.kappa)
-
-    wa = eigenfunction_eval(a, p, lam, a)
-    wb = eigenfunction_eval(a, p, lam, b)
-
-    u = np.empty_like(xs)
-    du = np.empty_like(xs)
-
-    left = xs <= a
-    t = sq * xs[left]
-    u[left] = np.cosh(t) + p.beta0 * np.sinh(t) / sq
-    du[left] = sq * np.sinh(t) + p.beta0 * np.cosh(t)
-
-    mid = (xs > a) & (xs <= b)
-    t = om * (xs[mid] - a)
-    u[mid] = wa.u * np.cos(t) + wa.du * np.sin(t) / om
-    du[mid] = -wa.u * om * np.sin(t) + wa.du * np.cos(t)
-
-    right = xs > b
-    t = sq * (xs[right] - b)
-    u[right] = wb.u * np.cosh(t) + wb.du * np.sinh(t) / sq
-    du[right] = wb.u * sq * np.sinh(t) + wb.du * np.cosh(t)
-
-    return u, du
+    d = xs - a
+    return propagate(
+        1.0, p.beta0, lam, p.kappa,
+        np.minimum(xs, a), np.minimum(np.maximum(d, 0.0), p.c), np.maximum(d - p.c, 0.0), xp=np,
+    )

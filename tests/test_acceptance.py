@@ -31,7 +31,7 @@ import pytest
 
 from conftest import ACCEPTANCE_LINES
 from fem_oracle import FemEstimate, fem_principal
-from test_propagator import as_array, ode_propagator
+from test_propagator import det, ode_propagator, piece_block
 
 from robineig.characteristic import char_f, hypothesis_bounds, limit_root
 from robineig.classifier import classify_pair, numeric_argmin
@@ -50,7 +50,7 @@ from robineig.eigensolver import (
 )
 from robineig.harness import emit_figures, run_sweep, write_csv
 from robineig.model import Params, SolverConfig, SweepConfig
-from robineig.propagator import eigenfunction_eval, propagator
+from robineig.propagator import eigenfunction_eval
 
 
 def _record(n: int, ok: bool, detail: str = "") -> None:
@@ -150,7 +150,7 @@ def _table_sweep():
     """Criterion 1's sweep: rows, curves and single-threaded runtime."""
     cfg = SweepConfig(
         c=0.3, kappa=2.0,
-        solver=SolverConfig(n_lambda=900, tol=1e-10, n_a=81, max_refine=5),
+        solver=SolverConfig(tol=1e-10, n_a=81),
     )
     pairs = [(b0, b1) for b0, b1, *_ in REFERENCE_TABLE]
     start = time.monotonic()
@@ -396,16 +396,16 @@ def test_criterion_3_propagator_exactness():
         total = rng.uniform(0.0, 1.0)
         s = rng.uniform(0.0, total)
         lam = rng.uniform(1e-4, 13.7)
-        worst_det = max(worst_det, abs(propagator(m, total, lam).det() - 1.0))
-        whole = as_array(propagator(m, total, lam))
-        split = as_array(propagator(m, s, lam) @ propagator(m, total - s, lam))
+        whole = piece_block(m, total, lam)
+        worst_det = max(worst_det, abs(det(whole) - 1.0))
+        split = piece_block(m, s, lam) @ piece_block(m, total - s, lam)
         worst_semi = max(worst_semi, float(np.max(np.abs(whole - split))))
     worst_ode = 0.0
     for _ in range(100):
         m = -1.0 if rng.random() < 0.5 else rng.uniform(0.5, 4.0)
         s = rng.uniform(0.0, 1.0)
         lam = rng.uniform(0.1, 13.7)
-        diff = np.abs(as_array(propagator(m, s, lam)) - ode_propagator(m, s, lam))
+        diff = np.abs(piece_block(m, s, lam) - ode_propagator(m, s, lam))
         worst_ode = max(worst_ode, float(np.max(diff)))
     ok = worst_det < 1e-12 and worst_semi < 1e-12 and worst_ode < 1e-9
     _record(3, ok, f"det {worst_det:.2e}, semigroup {worst_semi:.2e}, ode {worst_ode:.2e}")
@@ -439,7 +439,7 @@ def _relabel_sweep():
     """Criterion 4's small grid sweep, for relabelling under swapped axes."""
     cfg = SweepConfig(
         beta_min=0.2, beta_max=2.0, n_beta=3,
-        solver=SolverConfig(n_lambda=300, n_a=21),
+        solver=SolverConfig(n_a=21),
     )
     return run_sweep(cfg)
 
@@ -575,7 +575,7 @@ def test_criterion_8_hypothesis_report():
         and rep.beta0_ok is False
     )
     # the classification still verifies despite the uncertified hypotheses
-    curve = lambda_curve(p, SolverConfig(n_lambda=300, n_a=21))
+    curve = lambda_curve(p, SolverConfig(n_a=21))
     label, pred = classify_pair(p, curve)
     _, _, j = numeric_argmin(curve)
     classified_ok = (
@@ -593,7 +593,7 @@ def test_criterion_8_hypothesis_report():
 def test_criterion_9_determinism(tmp_path):
     cfg = SweepConfig(
         beta_min=0.2, beta_max=1.0, n_beta=2,
-        solver=SolverConfig(n_lambda=300, n_a=9),
+        solver=SolverConfig(n_a=9),
     )
     outputs = []
     for run in ("one", "two"):

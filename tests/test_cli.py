@@ -16,6 +16,17 @@ class TestSolve:
         assert "positive_ok: true" in out
         assert "rayleigh_rel_err:" in out
 
+    def test_char_f_residual_is_scaled(self, capsys):
+        # the unscaled |char_f| is 5.0e162 at this root
+        code = main([
+            "solve", "--c", "0.01", "--kappa", "0.1", "--beta0", "1", "--beta1", "0",
+            "--a", "0.99",
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        line = next(l for l in out.splitlines() if l.startswith("char_f_residual:"))
+        assert float(line.split()[1]) <= 1e-10
+
     def test_invalid_input_exit_1(self, capsys):
         code = main([
             "solve", "--c", "1.2", "--kappa", "2", "--beta0", "4", "--beta1", "4",
@@ -24,7 +35,9 @@ class TestSolve:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--kappa", "inf"), ("--beta0", "nan")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--kappa", "inf"), ("--beta0", "nan"), ("--tol", "inf"),
+    ])
     def test_non_finite_input_exit_1(self, capsys, flag, value):
         args = {"--c": "0.3", "--kappa": "2", "--beta0": "4", "--beta1": "4", "--a": "0.35"}
         args[flag] = value
@@ -33,6 +46,24 @@ class TestSolve:
         assert code == 1
         assert "must be finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--a", "abc"], "invalid float value: 'abc'"),
+        ([], "the following arguments are required: --a"),
+        (["--a", "0.3", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ])
+    def test_usage_error_exit_1(self, capsys, argv, message):
+        code = main(["solve", "--c", "0.3", "--kappa", "2", "--beta0", "1", "--beta1", "1",
+                     *argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+
+    def test_help_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--beta0" in capsys.readouterr().out
 
     def test_residual_overflow_exit_2(self, capsys):
         code = main([
@@ -60,7 +91,7 @@ class TestSolve:
     def test_solver_failure_exit_2(self, capsys):
         code = main([
             "solve", "--c", "0.3", "--kappa", "2", "--beta0", "8", "--beta1", "0.2",
-            "--a", "0.0", "--n-lambda", "300",
+            "--a", "0.0",
         ])
         assert code == 2
         assert "solver failure" in capsys.readouterr().err
@@ -70,7 +101,7 @@ class TestCurve:
     def test_stdout_table(self, capsys):
         code = main([
             "curve", "--c", "0.3", "--kappa", "2", "--beta0", "1", "--beta1", "1",
-            "--n-a", "5", "--n-lambda", "300",
+            "--n-a", "5",
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -82,16 +113,29 @@ class TestCurve:
         path = tmp_path / "curve.dat"
         code = main([
             "curve", "--c", "0.3", "--kappa", "2", "--beta0", "1", "--beta1", "1",
-            "--n-a", "5", "--n-lambda", "300", "--out", str(path),
+            "--n-a", "5", "--out", str(path),
         ])
         assert code == 0
         assert len(path.read_text().splitlines()) == 5
 
 
 class TestSweep:
+    @pytest.mark.parametrize("argv", [
+        ["--beta-max", "inf", "--n-beta", "3", "--n-a", "3"],
+        ["--kappa", "inf"],
+        ["--tol", "inf"],
+    ])
+    def test_non_finite_config_exit_1(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code = main(["sweep", *argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "must be finite" in captured.err
+        assert captured.out == "" and not list(tmp_path.iterdir())
+
     def test_config_pairs_file_and_overrides(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
-        cfg.write_text("n_a = 5\nn_lambda = 300\n# comment\n")
+        cfg.write_text("n_a = 5\n# comment\n")
         pairs = tmp_path / "pairs.txt"
         pairs.write_text("0.6 0.6\n# comment\n1.0 2.0\n")
         out = tmp_path / "out.csv"
@@ -110,7 +154,7 @@ class TestSweep:
         pairs = tmp_path / "pairs.txt"
         pairs.write_text("0.6 0.6\n")
         code = main([
-            "sweep", "--pairs-file", str(pairs), "--n-a", "3", "--n-lambda", "300",
+            "sweep", "--pairs-file", str(pairs), "--n-a", "3",
             "--out", str(tmp_path / "no-such-dir" / "x.csv"),
             "--figdir", str(tmp_path / "figs"),
         ])

@@ -8,6 +8,7 @@ from simpson_oracle import _simpson, simpson_defect, simpson_energy_and_mass
 from test_characteristic import leftmost_char_f_root
 
 import robineig.eigensolver
+from robineig.characteristic import char_f
 from robineig.eigensolver import (
     Bracket,
     EigenResult,
@@ -27,7 +28,7 @@ from robineig.eigensolver import (
 from robineig.model import Params, SolverConfig
 from robineig.propagator import eigenfunction_eval, eigenfunction_profile, shooting_residual
 
-FAST = SolverConfig(n_lambda=300, n_a=9)
+FAST = SolverConfig(n_a=9)
 
 
 class TestSpectralWindow:
@@ -140,7 +141,7 @@ class TestPrincipalEigenvalue:
         # the first eigenvalue above the quarter-period cap
         p = Params(0.3, 2.0, 8.0, 0.2)
         with pytest.raises(SolverError, match="no bracket"):
-            principal_eigenvalue(0.0, p, SolverConfig(n_lambda=300, max_refine=2))
+            principal_eigenvalue(0.0, p, SolverConfig())
 
     def test_residual_call_counts(self, monkeypatch, p_default, cfg_default):
         calls = []
@@ -170,6 +171,17 @@ class TestPrincipalEigenvalue:
         res = principal_eigenvalue(a, p, cfg_default)
         assert res.positive_ok
         assert abs(res.lam - leftmost_char_f_root(a, p)) <= 1e-10 * res.lam
+
+    @pytest.mark.parametrize("a, p, unscaled", [
+        # mu (1-c) = 396, and |char_f| is 5.0e162 at the root
+        (0.99, Params(0.01, 0.1, 1.0, 0.0), 1e162),
+        # beta0 beta1 = 1e12, and |char_f| is 38.6 at the root
+        (0.35, Params(0.3, 2.0, 1e6, 1e6), 10.0),
+    ])
+    def test_char_f_residual_is_scaled(self, cfg_default, a, p, unscaled):
+        res = principal_eigenvalue(a, p, cfg_default)
+        assert abs(char_f(a, p, res.lam)) > unscaled
+        assert res.char_f_residual <= 1e-10
 
     def test_lambda1_below_tolerance_is_refused(self, cfg_default):
         # with a nonnegative weight integral, lambda1 -> 0 as both betas vanish
@@ -209,7 +221,7 @@ class TestLambdaCurve:
     def test_point_failure_aborts_curve(self):
         p = Params(0.3, 2.0, 8.0, 0.2)
         with pytest.raises(SolverError):
-            lambda_curve(p, SolverConfig(n_lambda=300, n_a=3, max_refine=2))
+            lambda_curve(p, SolverConfig(n_a=3))
 
 
 def _quotient_scale(p: Params, lam: float) -> float:

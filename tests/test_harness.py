@@ -14,7 +14,7 @@ from robineig.harness import (
 )
 from robineig.model import SolverConfig, SweepConfig
 
-FAST_SOLVER = SolverConfig(n_lambda=300, n_a=5, max_refine=2)
+FAST_SOLVER = SolverConfig(n_a=5)
 
 
 def fast_cfg(**kwargs) -> SweepConfig:
@@ -48,7 +48,7 @@ class TestRunSweep:
         assert all(c is not None for c in curves)
 
     def test_error_row_continues_sweep(self):
-        cfg = fast_cfg(solver=SolverConfig(n_lambda=300, n_a=3, max_refine=2))
+        cfg = fast_cfg(solver=SolverConfig(n_a=3))
         rows, curves = run_sweep(cfg, pairs=[(8.0, 0.2), (0.6, 0.6)])
         assert rows[0].regime == "error"
         assert rows[0].comparison is None and rows[0].argmin_a is None

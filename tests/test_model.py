@@ -72,21 +72,17 @@ class TestCheckPlacement:
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.n_lambda == 900
-        assert cfg.tol == 1e-10
-        assert cfg.n_a == 81
-        assert cfg.max_refine == 5
+        assert dataclasses.astuple(cfg) == (1e-10, 81)
         assert validate_solver_config(cfg) is cfg
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            validate_solver_config(SolverConfig(n_lambda=1))
-        with pytest.raises(ValueError):
             validate_solver_config(SolverConfig(tol=0.0))
         with pytest.raises(ValueError):
             validate_solver_config(SolverConfig(n_a=1))
-        with pytest.raises(ValueError):
-            validate_solver_config(SolverConfig(max_refine=-1))
+        for tol in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                validate_solver_config(SolverConfig(tol=tol))
 
 
 class TestSweepConfig:
@@ -103,10 +99,16 @@ class TestSweepConfig:
             validate_sweep_config(SweepConfig(n_beta=1))
         with pytest.raises(ValueError):
             validate_sweep_config(SweepConfig(c=1.5))
+        with pytest.raises(ValueError, match="beta1 must be finite"):
+            validate_sweep_config(SweepConfig(beta_max=float("inf")))
+        with pytest.raises(ValueError, match="kappa must be finite"):
+            validate_sweep_config(SweepConfig(kappa=float("inf")))
 
     def test_nested_solver_validated(self):
         with pytest.raises(ValueError):
             validate_sweep_config(SweepConfig(solver=SolverConfig(tol=-1.0)))
+        with pytest.raises(ValueError, match="tol"):
+            validate_sweep_config(SweepConfig(solver=SolverConfig(tol=float("inf"))))
 
 
 class TestLoadSweepConfig:
@@ -117,7 +119,6 @@ class TestLoadSweepConfig:
             "beta_min = 0.5\n"
             "n_beta=4\n"
             "c = 0.25   # trailing comment\n"
-            "n_lambda = 300\n"
             "tol = 1e-8\n"
             "out_csv = out.csv\n"
             "\n"
@@ -126,7 +127,6 @@ class TestLoadSweepConfig:
         assert cfg.beta_min == 0.5
         assert cfg.n_beta == 4
         assert cfg.c == 0.25
-        assert cfg.solver.n_lambda == 300
         assert cfg.solver.tol == 1e-8
         assert cfg.out_csv == "out.csv"
         # untouched defaults survive
@@ -136,10 +136,10 @@ class TestLoadSweepConfig:
     def test_overrides_win(self, tmp_path):
         f = tmp_path / "sweep.cfg"
         f.write_text("beta_min = 0.5\nn_a = 21\n")
-        cfg = load_sweep_config(f, {"beta_min": 1.0, "n_lambda": 450, "c": None})
+        cfg = load_sweep_config(f, {"beta_min": 1.0, "tol": 1e-9, "c": None})
         assert cfg.beta_min == 1.0
         assert cfg.solver.n_a == 21
-        assert cfg.solver.n_lambda == 450
+        assert cfg.solver.tol == 1e-9
         assert cfg.c == 0.3  # None override is skipped
 
     def test_no_file_only_overrides(self):
@@ -150,6 +150,13 @@ class TestLoadSweepConfig:
         f = tmp_path / "sweep.cfg"
         f.write_text("frobnicate = 1\n")
         with pytest.raises(ValueError, match="unknown key"):
+            load_sweep_config(f)
+
+    @pytest.mark.parametrize("key", ["n_lambda", "max_refine"])
+    def test_removed_solver_key_rejected(self, tmp_path, key):
+        f = tmp_path / "sweep.cfg"
+        f.write_text(f"{key} = 300\n")
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             load_sweep_config(f)
 
     def test_malformed_line(self, tmp_path):
