@@ -2,12 +2,11 @@
 
 ``char_f`` is the four-term determinant form whose smallest positive zero in
 the admissible window is the principal eigenvalue; it serves as an oracle
-independent of the closed-form shooting residual.  The remaining
-functions support the classification theory: the sign function ``char_g``
-driving the a-derivative of the eigenvalue, the linear-in-beta0 coefficients
-behind ``beta0_star``, the amplitude bound ``h``, the admissibility threshold
-``c_star`` and the uniform bound ``beta0_star_bound``, plus the classical
-Neumann/Dirichlet limit characteristic equations.
+independent of the closed-form shooting residual.  ``hypothesis_bounds``
+reports the classification theorem's hypotheses (the admissibility threshold
+``c_star``, the uniform bound ``beta0_star_bound`` and the amplitude bound
+``h``), and ``limit_root`` solves the classical Neumann/Dirichlet limit
+characteristic equations.
 """
 
 from __future__ import annotations
@@ -18,16 +17,9 @@ from dataclasses import dataclass
 from .model import Params
 
 LIMIT_KINDS = ("neumann", "dirichlet", "lou_neumann", "lou_dirichlet")
-
-
-class PoleError(ArithmeticError):
-    """Evaluation requested at (or numerically on top of) a pole of a
-    tan/tanh rational form; the sign change there is not a root."""
-
-
-class DegenerateConfigError(ArithmeticError):
-    """The linear coefficient A(a) is numerically zero, which the theory
-    excludes; signals a constraint violation upstream."""
+# limit_root's scan resolution and bisection width
+_LIMIT_N_LAMBDA = 2000
+_LIMIT_TOL = 1e-12
 
 
 def char_f(a: float, p: Params, lam: float) -> float:
@@ -49,48 +41,6 @@ def char_f(a: float, p: Params, lam: float) -> float:
     )
 
 
-def char_g(a: float, beta0: float, beta1: float, lam: float, c: float) -> float:
-    """Sign surrogate for the a-derivative of char_f on the admissible window."""
-    sq = math.sqrt(lam)
-    return (lam - beta0 * beta1) * math.tanh(2.0 * sq * (a - (1.0 - c) / 2.0)) \
-        + sq * (beta0 - beta1)
-
-
-def _linear_coeffs(a: float, c: float, kappa: float, lam: float) -> tuple[float, float]:
-    """Coefficients (A, B) of the beta1-derivative of char_f, linear in beta0."""
-    sq = math.sqrt(lam)
-    sn = math.sin(c * math.sqrt(kappa * lam))
-    cs = math.cos(c * math.sqrt(kappa * lam))
-    z = sq * (1.0 - c)
-    y = sq * (2.0 * a + c - 1.0)
-    A = (-2.0 * math.sqrt(kappa) * cs * math.sinh(z)
-         + (kappa - 1.0) * sn * math.cosh(z)
-         - (kappa + 1.0) * sn * math.cosh(y))
-    B = (-2.0 * math.sqrt(lam * kappa) * cs * math.cosh(z)
-         + (kappa - 1.0) * sq * sn * math.sinh(z)
-         - (kappa + 1.0) * sq * sn * math.sinh(y))
-    return A, B
-
-
-def beta0_star(a: float, p: Params, lam: float) -> float:
-    """Unique zero in beta0 of the beta1-derivative of char_f, i.e. -B(a)/A(a)."""
-    A, B = _linear_coeffs(a, p.c, p.kappa, lam)
-    if abs(A) < 1e-12:
-        raise DegenerateConfigError(f"A(a) ~ 0 at a={a}, lam={lam}")
-    return -B / A
-
-
-def h_bound(c: float, kappa: float, lam: float) -> float:
-    """Threshold compared against cosh(sqrt(lam)(2a+c-1)) to decide the sign
-    of A(a); below 1 on the whole window under the c-constraint."""
-    sq = math.sqrt(lam)
-    sn = math.sin(c * math.sqrt(kappa * lam))
-    cs = math.cos(c * math.sqrt(kappa * lam))
-    z = sq * (1.0 - c)
-    return ((kappa - 1.0) * sn * math.cosh(z) - 2.0 * math.sqrt(kappa) * cs * math.sinh(z)) \
-        / ((kappa + 1.0) * sn)
-
-
 def c_star(kappa: float) -> float:
     """Least admissible interval fraction for kappa > 1."""
     if kappa <= 1.0:
@@ -100,7 +50,8 @@ def c_star(kappa: float) -> float:
 
 
 def beta0_star_bound(c: float, kappa: float) -> float:
-    """Uniform (a- and lambda-independent) upper bound on beta0_star.
+    """Uniform (a- and lambda-independent) upper bound on beta0_star, the
+    zero in beta0 of the beta1-derivative of char_f.
 
     Raises ValueError when the denominator is not positive, i.e. outside the
     certified c-range.
@@ -141,8 +92,11 @@ class HypothesisReport:
 def hypothesis_bounds(p: Params, lambda_window: tuple[float, float]) -> HypothesisReport:
     """Evaluate the theorem's hypothesis quantities for one instance.
 
-    h_max is sampled on 256 uniform lambda points of the window (h is smooth;
-    the fixed resolution keeps reports reproducible).
+    h(lambda) is the threshold compared against cosh(sqrt(lambda)(2a+c-1))
+    to decide the sign of the linear coefficient A(a) of the
+    beta1-derivative of char_f; it is below 1 on the whole window under the
+    c-constraint.  h_max is sampled on 256 uniform lambda points of the
+    window (h is smooth; the fixed resolution keeps reports reproducible).
     """
     lo, hi = lambda_window
     if p.kappa > 1.0:
@@ -159,53 +113,23 @@ def hypothesis_bounds(p: Params, lambda_window: tuple[float, float]) -> Hypothes
     if not c_ok:
         bound = None
     beta0_ok = bound is not None and p.beta0 > bound
-    n = 256
-    h_max = max(
-        h_bound(p.c, p.kappa, lo + (hi - lo) * j / (n - 1)) for j in range(n)
-    )
+    k, n = p.kappa, 256
+    hs = []
+    for j in range(n):
+        lam = lo + (hi - lo) * j / (n - 1)
+        th, z = p.c * math.sqrt(k * lam), math.sqrt(lam) * (1.0 - p.c)
+        hs.append(((k - 1.0) * math.sin(th) * math.cosh(z)
+                   - 2.0 * math.sqrt(k) * math.cos(th) * math.sinh(z))
+                  / ((k + 1.0) * math.sin(th)))
+    h_max = max(hs)
     return HypothesisReport(cs, bound, c_ok, beta0_ok, h_max)
-
-
-def limit_char_residual(kind: str, a: float, c: float, kappa: float, lam: float) -> float:
-    """LHS - RHS of the selected limit characteristic equation.
-
-    Kinds: ``neumann`` and ``dirichlet`` are the beta -> 0 / beta -> inf
-    equations at general placement; ``lou_neumann`` and ``lou_dirichlet`` are
-    their a=0 reductions.  Raises PoleError when the rational form is
-    evaluated too close to a denominator zero.
-    """
-    if kind not in LIMIT_KINDS:
-        raise ValueError(f"unknown limit kind {kind!r}")
-    if kind.startswith("lou_") and a != 0.0:
-        raise ValueError(f"{kind} requires a = 0")
-    sq = math.sqrt(lam)
-    rk = math.sqrt(kappa)
-    if abs(math.cos(sq * rk * c)) < 1e-12:
-        raise PoleError(f"tan pole at lam={lam}")
-    t = math.tan(sq * rk * c)
-    b = a + c
-    if kind == "lou_neumann":
-        return rk * t - math.tanh(sq * (1.0 - c))
-    if kind == "lou_dirichlet":
-        return t + rk * math.tanh(sq * (1.0 - c))
-    ta = math.tanh(sq * a)
-    lhs = math.tanh(sq * (1.0 - b))
-    if kind == "neumann":
-        num = rk * t - ta
-        den = 1.0 + ta * t / rk
-    else:  # dirichlet
-        num = t / rk + ta
-        den = rk * ta * t - 1.0
-    if abs(den) < 1e-10 * max(1.0, abs(num)):
-        raise PoleError(f"{kind} residual at a pole: lam={lam}")
-    return lhs - num / den
 
 
 def _limit_cleared(kind: str, a: float, c: float, kappa: float, lam: float) -> float:
     """Denominator-cleared form of the limit equations.
 
-    Continuous in lambda (no tan/tanh poles) and sharing the roots of
-    limit_char_residual, so the scan+bisection machinery can be applied
+    Continuous in lambda (no tan/tanh poles) and sharing the roots of the
+    rational tan/tanh forms, so the scan+bisection machinery can be applied
     without pole bookkeeping.
     """
     sq = math.sqrt(lam)
@@ -223,14 +147,7 @@ def _limit_cleared(kind: str, a: float, c: float, kappa: float, lam: float) -> f
     return lhs * (rk * ta * sn - cs) - (sn / rk + ta * cs)
 
 
-def limit_root(
-    kind: str,
-    a: float,
-    c: float,
-    kappa: float,
-    n_lambda: int = 2000,
-    tol: float = 1e-12,
-) -> float:
+def limit_root(kind: str, a: float, c: float, kappa: float) -> float:
     """Smallest positive root of the selected limit equation.
 
     Scans the admissible window (extended past the quarter-period bound for
@@ -251,7 +168,7 @@ def limit_root(
     def residual(lam: float) -> float:
         return _limit_cleared(kind, a, c, kappa, lam)
 
-    brackets = bracket_scan(residual, w, n_lambda)
+    brackets = bracket_scan(residual, w, _LIMIT_N_LAMBDA)
     if not brackets:
         raise ValueError(f"no root of {kind} limit equation found in the window")
-    return bisect(residual, brackets[0], tol)
+    return bisect(residual, brackets[0], _LIMIT_TOL)

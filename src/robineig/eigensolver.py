@@ -81,7 +81,8 @@ def bracket_scan(residual, w: SpectralWindow, n_lambda: int) -> list[Bracket]:
 
 
 def bisect(residual, b: Bracket, tol: float) -> float:
-    """Midpoint of the bisected bracket once its width is <= tol."""
+    """Midpoint of the bisected bracket once its width is <= tol * min(1, lo):
+    absolute above 1, relative to the lower end below it."""
     lam, _, _ = _bisect(residual, b, tol)
     return lam
 
@@ -95,7 +96,7 @@ def _bisect(residual, b: Bracket, tol: float) -> tuple[float, Bracket, int]:
         raise ValueError(f"invalid bracket {b}")
     lo, hi, r_lo, r_hi = b.lo, b.hi, b.r_lo, b.r_hi
     iters = 0
-    while hi - lo > tol:
+    while hi - lo > (tol if lo >= 1.0 else tol * lo):  # tol * min(1, lo), without a call
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # float resolution exhausted
@@ -139,10 +140,12 @@ def principal_eigenvalue(a: float, p: Params, cfg: SolverConfig) -> EigenResult:
     beta0*beta1 > 0 and one residual at ``lambda_max``.  If that is still
     positive, lambda1 lies above the window and the solve is refused after a
     single residual call.  Otherwise the bracket ``r_lo > 0 >= r_hi`` is
-    bisected to width ``cfg.tol``.  The eigenfunction is then checked for
-    positivity on 1001 samples at ``bracket.lo``, where the lemma makes it
-    strictly positive; at the midpoint, the left-shot reconstruction of an
-    eigenfunction that decays towards x = 1 is ill-conditioned.
+    bisected to width ``cfg.tol``, or ``cfg.tol * bracket.lo`` below
+    lambda = 1, so a small lambda1 keeps its relative accuracy.  The
+    eigenfunction is then checked for positivity on 1001 samples at
+    ``bracket.lo``, where the lemma makes it strictly positive; at the
+    midpoint, the left-shot reconstruction of an eigenfunction that decays
+    towards x = 1 is ill-conditioned.
     """
     validate_params(p)
     check_placement(a, p.c)
@@ -166,7 +169,10 @@ def principal_eigenvalue(a: float, p: Params, cfg: SolverConfig) -> EigenResult:
     r_zero = p.beta0 + p.beta1 + p.beta0 * p.beta1
     lam, final, iters = _bisect(residual, Bracket(0.0, w.lambda_max, r_zero, r_cap), cfg.tol)
     if final.lo == 0.0:
-        raise SolverError(f"lambda1 below the tolerance {cfg.tol:g} (a={a}, p={p})")
+        raise SolverError(
+            f"lambda1 not resolved from 0: the residual is not positive down to "
+            f"lambda={final.hi:.3g} (a={a}, p={p})"
+        )
     if not eigenfunction_positive(a, p, final.lo):
         raise SolverError(f"eigenfunction not positive at lambda={final.lo:.12g} (a={a}, p={p})")
     return EigenResult(lam, final, iters, char_f_residual(a, p, lam), True)
@@ -178,8 +184,7 @@ def char_f_residual(a: float, p: Params, lam: float) -> float:
     with ``mu = sqrt(lambda)``.  Each of the four terms is at most of that
     order, because ``|2a + c - 1| <= 1 - c``.  So the ratio can be compared
     across instances, where ``|char_f|`` itself grows like ``e^{mu (1-c)}``
-    and ``beta0 beta1``; it stays near 1e-11 or below unless the absolute
-    bisection tolerance is coarse next to a small lambda."""
+    and ``beta0 beta1``; it stays near 1e-11 or below."""
     mu = math.sqrt(lam)
     scale = (math.cosh(mu * (1.0 - p.c)) * (p.kappa + 1.0 + 2.0 * math.sqrt(p.kappa))
              * (lam + p.beta0 * p.beta1 + mu * (p.beta0 + p.beta1)))

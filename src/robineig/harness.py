@@ -164,14 +164,6 @@ def write_curve_data(curve: Curve, path: Path) -> None:
             fh.write(f"{a!r} {lam!r}\n")
 
 
-def read_curve_data(path: Path) -> Curve:
-    curve = []
-    for line in Path(path).read_text().splitlines():
-        sa, slam = line.split()
-        curve.append((float(sa), float(slam)))
-    return curve
-
-
 def write_curve_svg(curve: Curve, row: SweepRow, title: str, path: Path) -> None:
     """Minimal standalone line plot: axes, polyline, argmin marker."""
     width, height = 640, 480

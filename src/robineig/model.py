@@ -25,8 +25,8 @@ class Params:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Solver knobs: ``tol`` is the absolute bisection width and ``n_a`` the
-    placement grid size."""
+    """Solver knobs: ``tol`` is the bisection width, absolute above lambda = 1
+    and relative below it, and ``n_a`` the placement grid size."""
 
     tol: float = 1e-10
     n_a: int = 81

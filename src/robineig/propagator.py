@@ -4,23 +4,17 @@ On a piece where the weight m is constant, the state w = (u, u') evolves as
 w(x0+s) = exp(s*Q) w(x0) with the trace-free generator Q = [[0, 1], [-lambda*m, 0]]:
 the trigonometric block on the favourable piece (m = kappa > 0), the
 hyperbolic one where m = -1.  ``propagate`` is the only place these blocks
-are written; the shooting residual, the pointwise state and the sampled
-profile are each one call of it with their own piece lengths.
+are written; the shooting residual and the sampled profile are each one
+call of it with their own piece lengths.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .model import Params, check_placement
-
-
-class StateVec(NamedTuple):
-    u: float
-    du: float
 
 
 def propagate(u, du, lam: float, kappa: float, left, mid, right, xp=math):
@@ -57,22 +51,11 @@ def shooting_residual(a: float, p: Params, lam: float) -> float:
     return du + p.beta1 * u
 
 
-def eigenfunction_eval(a: float, p: Params, lam: float, x: float) -> StateVec:
-    """State (u, u') at position x, propagated from (1, beta0) at x=0."""
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"x outside [0,1]: {x}")
-    check_placement(a, p.c)
-    return StateVec(*propagate(
-        1.0, p.beta0, lam, p.kappa,
-        min(x, a), min(max(x - a, 0.0), p.c), max(x - a - p.c, 0.0),
-    ))
-
-
 def eigenfunction_profile(
     a: float, p: Params, lam: float, xs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised (u, u') over sample points xs in [0,1]; the same lengths
-    as ``eigenfunction_eval``, as arrays."""
+    """(u, u') of the solution shot from (1, beta0) at x = 0, over sample
+    points xs in [0,1]: the pieces up to each x, as arrays of lengths."""
     xs = np.asarray(xs, dtype=float)
     if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
         raise ValueError("sample points outside [0,1]")

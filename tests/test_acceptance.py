@@ -50,7 +50,7 @@ from robineig.eigensolver import (
 )
 from robineig.harness import emit_figures, run_sweep, write_csv
 from robineig.model import Params, SolverConfig, SweepConfig
-from robineig.propagator import eigenfunction_eval
+from robineig.propagator import propagate
 
 
 def _record(n: int, ok: bool, detail: str = "") -> None:
@@ -546,8 +546,8 @@ def test_criterion_7_eigenpair_quality():
     worst_closure = worst_rayleigh = 0.0
     positive_failures = 0
     for a, p, lam in accepted:
-        w1 = eigenfunction_eval(a, p, lam, 1.0)
-        closure = abs(w1.du + p.beta1 * w1.u) / (1.0 + abs(w1.u))
+        u1, du1 = propagate(1.0, p.beta0, lam, p.kappa, a, p.c, 1.0 - a - p.c)
+        closure = abs(du1 + p.beta1 * u1) / (1.0 + abs(u1))
         worst_closure = max(worst_closure, closure)
         if not eigenfunction_positive(a, p, lam):
             positive_failures += 1

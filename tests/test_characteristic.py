@@ -1,21 +1,16 @@
 import math
 
 import pytest
-
-from robineig.characteristic import (
+from theory import (
     DegenerateConfigError,
     PoleError,
     _linear_coeffs,
     beta0_star,
-    beta0_star_bound,
-    c_star,
-    char_f,
     char_g,
-    h_bound,
-    hypothesis_bounds,
     limit_char_residual,
-    limit_root,
 )
+
+from robineig.characteristic import beta0_star_bound, c_star, char_f, hypothesis_bounds, limit_root
 from robineig.eigensolver import bisect, bracket_scan, principal_eigenvalue, spectral_window
 from robineig.model import Params, SolverConfig
 
@@ -194,7 +189,9 @@ class TestHypothesisBounds:
         assert rep.c_ok is True
         assert rep.beta0_ok is True
         assert rep.h_max < 1.0
-        assert h_bound(c, kappa, 0.5 * w.lambda_max) < 1.0
+        # a one-point window samples h at that lambda only
+        mid = 0.5 * w.lambda_max
+        assert hypothesis_bounds(p, (mid, mid)).h_max < 1.0
 
     def test_report_lines(self):
         p = Params(0.3, 2.0, 4.0, 4.0)

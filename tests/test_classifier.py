@@ -47,7 +47,7 @@ class TestAStar:
             assert s == pytest.approx(1.0 - c, abs=1e-12)
 
     def test_direct_value_against_sign_function_zero(self):
-        from robineig.characteristic import char_g
+        from theory import char_g
 
         b0, b1, lam, c = 4.0, 2.0, 2.0, 0.3
         val = a_star(b0, b1, lam, c)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from robineig.eigensolver import (
     spectral_window,
 )
 from robineig.model import Params, SolverConfig
-from robineig.propagator import eigenfunction_eval, eigenfunction_profile, shooting_residual
+from robineig.propagator import eigenfunction_profile, propagate, shooting_residual
 
 FAST = SolverConfig(n_a=9)
 
@@ -183,10 +184,19 @@ class TestPrincipalEigenvalue:
         assert abs(char_f(a, p, res.lam)) > unscaled
         assert res.char_f_residual <= 1e-10
 
-    def test_lambda1_below_tolerance_is_refused(self, cfg_default):
-        # with a nonnegative weight integral, lambda1 -> 0 as both betas vanish
-        with pytest.raises(SolverError, match="below the tolerance"):
-            principal_eigenvalue(0.1, Params(0.5, 2.0, 1e-13, 1e-13), cfg_default)
+    def test_small_lambda1_keeps_relative_accuracy(self, cfg_default):
+        # integrating the equation over (0, 1) gives lambda1 int m u = beta0 u(0)
+        # + beta1 u(1), so lambda1 = (beta0 + beta1) / int m (1 + O(beta)) as
+        # both betas vanish: 4e-13 here, far below the width tol = 1e-10
+        res = principal_eigenvalue(0.1, Params(0.5, 2.0, 1e-13, 1e-13), cfg_default)
+        assert abs(res.lam - 4e-13) <= 1e-10 * 4e-13
+        assert res.bracket.hi - res.bracket.lo <= cfg_default.tol * res.bracket.lo
+
+    def test_lambda1_not_resolved_from_zero_is_refused(self, cfg_default):
+        # betas of one denormal ulp: no double above 0 has a positive residual
+        p = Params(0.9, 20.0, 5e-324, 5e-324)
+        with pytest.raises(SolverError, match="not resolved from 0: .* down to lambda=4.94e-324"):
+            principal_eigenvalue(0.0, p, cfg_default)
 
     def test_rejects_invalid_inputs(self, cfg_default):
         with pytest.raises(ValueError):
@@ -328,7 +338,7 @@ class TestRayleighCheck:
         lam = 1.0001 * principal_eigenvalue(a, p, cfg_default).lam
         num, den = _energy_and_mass(a, p, lam)
         mass = den / _quotient_scale(p, lam)
-        u1 = eigenfunction_eval(a, p, lam, 1.0).u
+        u1, _ = propagate(1.0, p.beta0, lam, p.kappa, a, p.c, 1.0 - a - p.c)
         weighted_residual = u1 * shooting_residual(a, p, lam) / mass
         assert num / den - lam == pytest.approx(weighted_residual, rel=1e-8, abs=0.0)
 
@@ -360,8 +370,8 @@ def _passes(defect) -> bool:
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None)
-# a fail for both (lambda1 = 5.6e-6, where the absolute bisection tolerance
-# leaves a defect of 3.4e-6) and a pass on an eigenfunction decaying to x = 1
+# a pass for both at a small lambda1 = 5.6e-6 (the bisection width relative to
+# lambda keeps the defect at 3.6e-11) and on an eigenfunction decaying to x = 1
 @example(c=0.9, log_kappa=math.log(20.0), beta0=0.0, beta1=1e-4, s=0.0)
 @example(c=0.05, log_kappa=math.log(1.5), beta0=0.05, beta1=20.0, s=0.05 / 0.95)
 @given(c=st.floats(0.01, 0.9), log_kappa=st.floats(math.log(0.01), math.log(20.0)),
@@ -387,3 +397,98 @@ def test_closed_form_and_oracle_agree_on_pass_fail_over_the_wide_box(c, log_kapp
         return
     assert _passes(lambda: rayleigh_check(a, p, res)) == _passes(
         lambda: simpson_defect(a, p, res.lam))
+
+
+@pytest.mark.parametrize("a, p", [
+    (0.35, Params(0.3, 2.0, 4.0, 4.0)),  # the default pair
+    (0.0, Params(0.3, 2.0, 4.0, 4.0)),
+    (0.7, Params(0.3, 2.0, 4.0, 4.0)),
+    (0.0, Params(0.3, 2.0, 0.2, 8.0)),
+    (0.1, Params(0.3, 2.0, 1.0, 2.5)),
+    (0.5, Params(0.15, 4.0, 0.05, 10.0)),
+    (0.2, Params(0.5, 4.0, 1e-6, 1e-6)),  # lambda1 = 1.3e-6
+    (0.1, Params(0.5, 2.0, 1e-13, 1e-13)),  # lambda1 = 4e-13
+    (0.2, Params(0.5, 4.0, 0.0, 2e-6)),
+    (0.0, Params(0.9, 20.0, 0.0, 1e-4)),
+    (0.05, Params(0.05, 1.5, 0.05, 20.0)),  # decaying towards x = 1
+    (0.15366534350821953,
+     Params(0.05243843205098664, 1.1238935388194145, 0.14732230439124913, 21.456507316098065)),
+    (0.99, Params(0.01, 0.1, 1.0, 0.0)),  # mu (1-c) = 396
+    (0.35, Params(0.3, 2.0, 1e6, 1e6)),  # beta0 beta1 = 1e12
+])
+def test_eigenvalue_matches_a_60_digit_char_f_root(a, p, cfg_default):
+    # char_f re-derived in 60-digit arithmetic; its root is bisected inside
+    # +-1e-8 of the solver's value.  That it is the principal root is
+    # criterion 2's and the FEM oracle's job.
+    import mpmath
+
+    lam = principal_eigenvalue(a, p, cfg_default).lam
+    with mpmath.workdps(60):
+        m_a, c, k, b0, b1 = (mpmath.mpf(v) for v in (a, p.c, p.kappa, p.beta0, p.beta1))
+
+        def char_f_mp(x):
+            sq = mpmath.sqrt(x)
+            sn, cs = mpmath.sin(sq * mpmath.sqrt(k) * c), mpmath.cos(sq * mpmath.sqrt(k) * c)
+            y, z = sq * (2 * m_a + c - 1), sq * (1 - c)
+            return ((k + 1) * (x - b0 * b1) * mpmath.cosh(y) * sn
+                    + (k + 1) * (b0 - b1) * sq * mpmath.sinh(y) * sn
+                    + mpmath.cosh(z) * ((k - 1) * (x + b0 * b1) * sn
+                                        - 2 * sq * mpmath.sqrt(k) * (b0 + b1) * cs)
+                    + mpmath.sinh(z) * ((k - 1) * (b0 + b1) * sq * sn
+                                        - 2 * mpmath.sqrt(k) * (b0 * b1 + x) * cs))
+
+        lo, hi = mpmath.mpf(lam) * (1 - mpmath.mpf(1e-8)), mpmath.mpf(lam) * (1 + mpmath.mpf(1e-8))
+        f_lo = char_f_mp(lo)
+        assert f_lo * char_f_mp(hi) < 0
+        for _ in range(150):
+            mid = (lo + hi) / 2
+            if (char_f_mp(mid) > 0) == (f_lo > 0):
+                lo = mid
+            else:
+                hi = mid
+        lam_mp = float((lo + hi) / 2)
+    assert abs(lam - lam_mp) <= 1e-10 * lam_mp
+
+
+_BOX_BETA = st.one_of(st.just(0.0), st.floats(-3.0, 2.0).map(lambda e: 10.0 ** e))
+_BOX = dict(c=st.floats(0.05, 0.9), log_kappa=st.floats(math.log(0.1), math.log(20.0)),
+            beta0=_BOX_BETA, beta1=_BOX_BETA, s=st.floats(0.0, 1.0))
+
+
+def _solve(a: float, p: Params):
+    """The result, or None for a refusal."""
+    try:
+        return principal_eigenvalue(a, p, SolverConfig())
+    except SolverError:
+        return None
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(**_BOX, which=st.sampled_from(["beta0", "beta1"]),
+       log_step=st.floats(math.log(1e-3), math.log(1e2)))
+def test_lambda1_does_not_decrease_in_either_beta(c, log_kappa, beta0, beta1, s, which, log_step):
+    small = Params(c, math.exp(log_kappa), beta0, beta1)
+    if beta0 == beta1 == 0.0:
+        return  # the rejected Neumann pair
+    big = dataclasses.replace(small, **{which: getattr(small, which) + math.exp(log_step)})
+    a = s * (1.0 - c)
+    res_small, res_big = _solve(a, small), _solve(a, big)
+    if res_small is None:
+        assert res_big is None  # above the cap stays above it
+    elif res_big is not None:
+        # each bracket holds its true lambda1, and the true values are ordered
+        assert res_big.bracket.hi >= res_small.bracket.lo
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(**_BOX)
+def test_reflection_swaps_the_betas(c, log_kappa, beta0, beta1, s):
+    if beta0 == beta1 == 0.0:
+        return
+    kappa = math.exp(log_kappa)
+    a = s * (1.0 - c)
+    res = _solve(a, Params(c, kappa, beta0, beta1))
+    mirrored = _solve(1.0 - c - a, Params(c, kappa, beta1, beta0))
+    assert (res is None) == (mirrored is None)
+    if res is not None:
+        assert abs(res.lam - mirrored.lam) <= 1e-8 * max(1.0, res.lam)

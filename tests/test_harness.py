@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from robineig.harness import (
@@ -7,7 +9,6 @@ from robineig.harness import (
     emit_figures,
     format_row,
     grid_pairs,
-    read_curve_data,
     run_sweep,
     write_csv,
     write_curve_data,
@@ -15,6 +16,15 @@ from robineig.harness import (
 from robineig.model import SolverConfig, SweepConfig
 
 FAST_SOLVER = SolverConfig(n_a=5)
+
+
+def read_curve_data(path: Path) -> list[tuple[float, float]]:
+    """Parse a curve data file written by ``write_curve_data``."""
+    curve = []
+    for line in Path(path).read_text().splitlines():
+        sa, slam = line.split()
+        curve.append((float(sa), float(slam)))
+    return curve
 
 
 def fast_cfg(**kwargs) -> SweepConfig:

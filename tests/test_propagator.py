@@ -5,13 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from robineig.model import Params
-from robineig.propagator import (
-    StateVec,
-    eigenfunction_eval,
-    eigenfunction_profile,
-    propagate,
-    shooting_residual,
-)
+from robineig.propagator import eigenfunction_profile, propagate, shooting_residual
 
 UNIT_STATES = ((1.0, 0.0), (0.0, 1.0))
 
@@ -126,7 +120,7 @@ class TestTransferMatrix:
 
     def test_rejects_bad_placement(self, p_default):
         with pytest.raises(ValueError, match="placement"):
-            eigenfunction_eval(0.8, p_default, 1.0, 0.5)
+            eigenfunction_profile(0.8, p_default, 1.0, np.array([0.5]))
 
 
 class TestShootingResidual:
@@ -169,29 +163,27 @@ class TestShootingResidual:
 
 class TestEigenfunction:
     def test_left_boundary_normalisation(self, p_default):
-        w = eigenfunction_eval(0.35, p_default, 5.0, 0.0)
-        assert w == StateVec(1.0, p_default.beta0)
+        u, du = eigenfunction_profile(0.35, p_default, 5.0, np.array([0.0]))
+        assert (u[0], du[0]) == (1.0, p_default.beta0)
 
     def test_continuity_at_interfaces(self, p_default):
         a, lam = 0.35, 5.0
         for x in (a, a + p_default.c):
-            lo = eigenfunction_eval(a, p_default, lam, x - 1e-13)
-            hi = eigenfunction_eval(a, p_default, lam, x + 1e-13)
-            assert abs(lo.u - hi.u) < 1e-10
-            assert abs(lo.du - hi.du) < 1e-10
-
-    def test_rejects_x_outside_unit_interval(self, p_default):
-        with pytest.raises(ValueError, match="x outside"):
-            eigenfunction_eval(0.35, p_default, 5.0, 1.2)
+            u, du = eigenfunction_profile(a, p_default, lam, np.array([x - 1e-13, x + 1e-13]))
+            assert abs(u[0] - u[1]) < 1e-10
+            assert abs(du[0] - du[1]) < 1e-10
 
     def test_profile_matches_pointwise(self, p_default, rng):
-        a, lam = 0.25, 3.0
+        # the array path against scalar propagate over the pieces up to x
+        a, lam, p = 0.25, 3.0, p_default
         xs = np.sort(rng.uniform(0.0, 1.0, size=200))
-        u, du = eigenfunction_profile(a, p_default, lam, xs)
+        u, du = eigenfunction_profile(a, p, lam, xs)
         for i in (0, 57, 111, 199):
-            w = eigenfunction_eval(a, p_default, lam, float(xs[i]))
-            assert u[i] == pytest.approx(w.u, rel=1e-12, abs=1e-12)
-            assert du[i] == pytest.approx(w.du, rel=1e-12, abs=1e-12)
+            x = float(xs[i])
+            wu, wdu = propagate(1.0, p.beta0, lam, p.kappa,
+                                min(x, a), min(max(x - a, 0.0), p.c), max(x - a - p.c, 0.0))
+            assert u[i] == pytest.approx(wu, rel=1e-12, abs=1e-12)
+            assert du[i] == pytest.approx(wdu, rel=1e-12, abs=1e-12)
 
     def test_profile_rejects_out_of_range(self, p_default):
         with pytest.raises(ValueError):
@@ -199,8 +191,8 @@ class TestEigenfunction:
 
     def test_residual_equals_boundary_defect(self, p_default):
         a, lam = 0.35, 5.0
-        w = eigenfunction_eval(a, p_default, lam, 1.0)
+        u, du = eigenfunction_profile(a, p_default, lam, np.array([1.0]))
         assert shooting_residual(a, p_default, lam) == pytest.approx(
-            w.du + p_default.beta1 * w.u, rel=1e-12
+            du[0] + p_default.beta1 * u[0], rel=1e-12
         )
 
