@@ -168,7 +168,7 @@ def limit_root(kind: str, a: float, c: float, kappa: float) -> float:
     def residual(lam: float) -> float:
         return _limit_cleared(kind, a, c, kappa, lam)
 
-    brackets = bracket_scan(residual, w, _LIMIT_N_LAMBDA)
-    if not brackets:
+    bracket = bracket_scan(residual, w, _LIMIT_N_LAMBDA)
+    if bracket is None:
         raise ValueError(f"no root of {kind} limit equation found in the window")
-    return bisect(residual, brackets[0], _LIMIT_TOL)
+    return bisect(residual, bracket, _LIMIT_TOL)

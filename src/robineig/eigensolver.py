@@ -56,35 +56,32 @@ def spectral_window(c: float, kappa: float) -> SpectralWindow:
     return SpectralWindow(max(1e-12, 1e-6 * cap), (1.0 - 1e-9) * cap)
 
 
-def bracket_scan(residual, w: SpectralWindow, n_lambda: int) -> list[Bracket]:
-    """All sign-change brackets of the residual on the uniform scan grid.
+def bracket_scan(residual, w: SpectralWindow, n_lambda: int) -> Bracket | None:
+    """The leftmost sign-change bracket of the residual on the uniform scan
+    grid, or None when there is none; the scan stops at the first one.
 
-    Grid points where the residual is exactly zero yield degenerate
-    width-0 brackets (kept, not perturbed, for determinism).  An empty list
-    is a valid result; the caller refines.
+    A grid point where the residual is exactly zero yields a degenerate
+    width-0 bracket (kept, not perturbed, for determinism).
     """
     step = (w.lambda_max - w.lambda_min) / n_lambda
-    out: list[Bracket] = []
-    prev_lam = w.lambda_min
-    prev_r = residual(prev_lam)
+    prev_lam, prev_r = w.lambda_min, residual(w.lambda_min)
     if prev_r == 0.0:
-        out.append(Bracket(prev_lam, prev_lam, 0.0, 0.0))
+        return Bracket(prev_lam, prev_lam, 0.0, 0.0)
     for j in range(1, n_lambda + 1):
         lam = w.lambda_min + j * step
         r = residual(lam)
         if r == 0.0:
-            out.append(Bracket(lam, lam, 0.0, 0.0))
-        elif prev_r * r < 0.0:
-            out.append(Bracket(prev_lam, lam, prev_r, r))
+            return Bracket(lam, lam, 0.0, 0.0)
+        if prev_r * r < 0.0:
+            return Bracket(prev_lam, lam, prev_r, r)
         prev_lam, prev_r = lam, r
-    return out
+    return None
 
 
 def bisect(residual, b: Bracket, tol: float) -> float:
     """Midpoint of the bisected bracket once its width is <= tol * min(1, lo):
     absolute above 1, relative to the lower end below it."""
-    lam, _, _ = _bisect(residual, b, tol)
-    return lam
+    return _bisect(residual, b, tol)[0]
 
 
 def _bisect(residual, b: Bracket, tol: float) -> tuple[float, Bracket, int]:
@@ -217,53 +214,47 @@ def _sin2_integral(om: float, t: float) -> float:
     return d / (4.0 * om)
 
 
+def _end_piece(beta: float, lam: float, length: float) -> tuple[float, float, float, float]:
+    """Shoot ``y'' = lambda y`` inward across an end piece of length L from
+    the boundary state ``(y, y') = (1, beta)``: the end state ``(y, y')``,
+    ``int y'^2 + beta y(0)^2`` and ``int y^2``.  In the basis ``A e^{mu s} +
+    B e^{-mu s}``, ``A, B = (1 +- beta/mu) / 2``, the state is divided by
+    ``e^{mu L}`` and the sums by ``e^{2 mu L}``, so they need only ``q =
+    e^{-2 mu L}`` and ``expm1(-2 mu L)``.  With ``beta >= 0`` the solution
+    grows inward, so nothing overflows and no decaying mode is rebuilt from
+    rounding."""
+    mu = math.sqrt(lam)
+    grow, decay = 0.5 * (1.0 + beta / mu), 0.5 * (1.0 - beta / mu)
+    q = math.exp(-2.0 * mu * length)
+    e1 = -math.expm1(-2.0 * mu * length) / (2.0 * mu)
+    aa, bb, ab = grow * grow * e1, decay * decay * q * e1, 2.0 * grow * decay * length * q
+    return grow + decay * q, mu * (grow - decay * q), beta * q + lam * (aa + bb - ab), aa + bb + ab
+
+
 def _energy_and_mass(a: float, p: Params, lam: float) -> tuple[float, float]:
     """Exact numerator and denominator of the Rayleigh quotient of the
-    solution shot from ``(u, u') = (1, beta0)``: ``int u'^2 + beta0 u(0)^2 +
-    beta1 u(1)^2`` and ``int m u^2``, both divided by ``e^{2 mu (1-c)}``,
-    ``mu = sqrt(lambda)``.  The quotient does not change, and nothing
-    overflows.
+    eigenfunction phi glued at ``b = a + c``, ``int phi'^2 + beta0 phi(0)^2 +
+    beta1 phi(1)^2`` and ``int m phi^2``, both divided by ``e^{2 mu a}``.
 
-    One pass over the three constant-weight pieces carries ``(u, u')`` from
-    piece to piece and integrates each piece in closed form.  On the
-    favourable piece ``u = u0 cos(om s) + (u0'/om) sin(om s)``.  On a
-    hyperbolic piece of length L, ``u = A e^{mu s} + B e^{-mu s}`` with
-    ``A, B = (u0 +- u0'/mu) / 2``, and the state is divided by ``e^{mu L}``
-    (the quadratic sums by ``q = e^{-2 mu L}``), so the integrals need only
-    ``q`` and ``expm1(-2 mu L)``.  Expanding in cosh/sinh instead cancels
-    catastrophically when u decays along a long piece.
+    ``phi = u_L`` on ``[0, b]``: shot from ``(1, beta0)`` across the left
+    piece (``_end_piece``), then ``u0 cos(om s) + (u0'/om) sin(om s)`` on the
+    favourable piece.  ``phi = g v`` on ``[b, 1]``: v is shot from ``(1,
+    beta1)`` at x = 1 towards b, and ``g = u_L(b) / v(b)`` (the matching
+    point of Pryce 1993).  Each end is shot in its growing direction.
     """
-    mu = math.sqrt(lam)
-    u, du = 1.0, p.beta0
-    num, den = p.beta0, 0.0
-    for m, length in ((-1.0, a), (p.kappa, p.c), (-1.0, 1.0 - a - p.c)):
-        if length <= 0.0:
-            continue
-        if m > 0.0:
-            om = math.sqrt(lam * m)
-            t = om * length
-            cs, sn = math.cos(t), math.sin(t)
-            w = du / om
-            s2 = _sin2_integral(om, t)
-            c2 = length - s2
-            sc = sn * sn / (2.0 * om)
-            uu = u * u * c2 + w * w * s2 + 2.0 * u * w * sc
-            vv = om * om * (u * u * s2 + w * w * c2 - 2.0 * u * w * sc)
-            u, du = u * cs + w * sn, om * (w * cs - u * sn)
-        else:
-            grow, decay = 0.5 * (u + du / mu), 0.5 * (u - du / mu)
-            q = math.exp(-2.0 * mu * length)
-            e1 = -math.expm1(-2.0 * mu * length) / (2.0 * mu)
-            aa = grow * grow * e1
-            bb = decay * decay * q * e1
-            ab = 2.0 * grow * decay * length * q
-            uu = aa + bb + ab
-            vv = lam * (aa + bb - ab)
-            num, den = num * q, den * q
-            u, du = grow + decay * q, mu * (grow - decay * q)
-        num += vv
-        den += m * uu
-    return num + p.beta1 * u * u, den
+    u, du, num, den = _end_piece(p.beta0, lam, a)
+    v, _, num_right, den_right = _end_piece(p.beta1, lam, 1.0 - a - p.c)
+    om = math.sqrt(lam * p.kappa)
+    t = om * p.c
+    cs, sn = math.cos(t), math.sin(t)
+    w = du / om
+    s2 = _sin2_integral(om, t)
+    c2 = p.c - s2
+    sc = sn * sn / (2.0 * om)
+    g = (u * cs + w * sn) / v
+    num = num + om * om * (u * u * s2 + w * w * c2 - 2.0 * u * w * sc) + g * g * num_right
+    den = p.kappa * (u * u * c2 + w * w * s2 + 2.0 * u * w * sc) - den - g * g * den_right
+    return num, den
 
 
 def rayleigh_check(a: float, p: Params, result: EigenResult) -> float:
@@ -271,13 +262,13 @@ def rayleigh_check(a: float, p: Params, result: EigenResult) -> float:
     quotient at the computed eigenpair, with the piecewise integrals exact
     (``_energy_and_mass``).
 
-    What it proves.  On the piecewise-exact u, integration by parts gives
-    ``num/den - lambda = u(1) r(lambda) / int m u^2``, with r the shooting
-    residual.  So the check re-tests the shooting residual, weighted by the
-    mass; it is not an independent certificate.  The independent ones are
-    ``char_f`` (``EigenResult.char_f_residual``) and, in the tests, the
-    finite-element oracle.  A weighted mass that is not positive (or NaN)
-    is a ``SolverError``.
+    What it proves.  On the glued eigenfunction phi, integration by parts
+    gives ``num/den - lambda = (u_L(b)/v(b)) r(lambda) / int m phi^2``, with
+    r the shooting residual.  So the check re-tests the shooting residual,
+    weighted by the mass; it is not an independent certificate.  The
+    independent ones are ``char_f`` (``EigenResult.char_f_residual``) and,
+    in the tests, the finite-element oracle.  A weighted mass that is not
+    positive (or NaN) is a ``SolverError``.
     """
     lam = result.lam
     num, den = _energy_and_mass(a, p, lam)

@@ -22,23 +22,20 @@ def propagate(u, du, lam: float, kappa: float, left, mid, right, xp=math):
     of weight ``kappa``, then ``right`` of weight -1.
 
     A zero length is exactly the identity (cos 0 = cosh 0 = 1 and sin 0 =
-    sinh 0 = 0), so callers pass lengths, not branches.  The one exception is
-    a state within a factor ``sqrt(lam)`` of overflow, where ``u * sqrt(lam)``
-    is inf and ``inf * sinh(0)`` is nan.  So a scalar ``right <= 0`` is
-    skipped: at ``a = 1 - c`` the residual stays finite, and a right piece
-    that rounds to a negative length is dropped.  With ``xp=numpy`` the
-    lengths (all >= 0) and the result may be arrays.
+    sinh 0 = 0), so callers pass lengths, not branches.  Each rate multiplies
+    its sine before the state does, as in ``u * (sq * sh)``, so a zero length
+    stays the identity even for a state next to overflow, where ``u * sq``
+    alone would be inf and ``inf * 0`` nan.  With ``xp=numpy`` the lengths
+    (all >= 0) and the result may be arrays.
     """
     sq = math.sqrt(lam)
     ch, sh = xp.cosh(sq * left), xp.sinh(sq * left)
-    u, du = u * ch + du * sh / sq, u * sq * sh + du * ch
+    u, du = u * ch + du * sh / sq, u * (sq * sh) + du * ch
     om = math.sqrt(lam * kappa)
     cs, sn = xp.cos(om * mid), xp.sin(om * mid)
-    u, du = u * cs + du * sn / om, -u * om * sn + du * cs
-    if xp is math and right <= 0.0:
-        return u, du
+    u, du = u * cs + du * sn / om, du * cs - u * (om * sn)
     ch, sh = xp.cosh(sq * right), xp.sinh(sq * right)
-    return u * ch + du * sh / sq, u * sq * sh + du * ch
+    return u * ch + du * sh / sq, u * (sq * sh) + du * ch
 
 
 def shooting_residual(a: float, p: Params, lam: float) -> float:

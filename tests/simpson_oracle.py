@@ -4,7 +4,9 @@ eigenfunction: the oracle for the closed-form piece integrals of
 
 It samples ``eigenfunction_profile`` on 10,001 points per constant-weight
 piece, so it shares the transfer formulas with the solver but none of the
-integration.
+integration.  That profile is shot from x = 0 alone; at an eigenvalue it is
+the glued eigenfunction of ``rayleigh_check`` as long as the right piece is
+short enough that the decaying mode is not lost to rounding.
 """
 
 from __future__ import annotations

@@ -343,19 +343,19 @@ def _leftmost_root(residual, c: float, kappa: float) -> float | None:
     """Smallest positive root via the solver's own scan+refine+bisect policy."""
     w = spectral_window(c, kappa)
     n = 900
-    brackets = bracket_scan(residual, w, n)
+    bracket = bracket_scan(residual, w, n)
     refines = 0
-    while not brackets and refines < 5:
+    while bracket is None and refines < 5:
         n *= 2
         refines += 1
-        brackets = bracket_scan(residual, w, n)
-    if not brackets:
-        brackets = bracket_scan(
+        bracket = bracket_scan(residual, w, n)
+    if bracket is None:
+        bracket = bracket_scan(
             residual, SpectralWindow(w.lambda_min / 1e3, w.lambda_max), n
         )
-    if not brackets:
+    if bracket is None:
         return None
-    return bisect(residual, brackets[0], 1e-10)
+    return bisect(residual, bracket, 1e-10)
 
 
 @functools.cache

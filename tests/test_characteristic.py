@@ -17,9 +17,9 @@ from robineig.model import Params, SolverConfig
 
 def leftmost_char_f_root(a: float, p: Params, n_lambda: int = 2000) -> float:
     w = spectral_window(p.c, p.kappa)
-    brackets = bracket_scan(lambda lam: char_f(a, p, lam), w, n_lambda)
-    assert brackets, "char_f has no root in the window"
-    return bisect(lambda lam: char_f(a, p, lam), brackets[0], 1e-12)
+    bracket = bracket_scan(lambda lam: char_f(a, p, lam), w, n_lambda)
+    assert bracket is not None, "char_f has no root in the window"
+    return bisect(lambda lam: char_f(a, p, lam), bracket, 1e-12)
 
 
 class TestCharF:

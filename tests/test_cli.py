@@ -1,6 +1,13 @@
 import pytest
 
+import robineig.cli
 from robineig.cli import main
+from robineig.eigensolver import SolverError
+
+# lambda1 = 4211.23, with an eigenfunction that decays towards x = 1
+DECAYING_ARGS = ("--c", "0.0230080130735918", "--kappa", "1.0637183352308162",
+                 "--beta0", "0.7688863376502032", "--beta1", "2.4459398491955393",
+                 "--a", "0.2724338980859347")
 
 
 class TestSolve:
@@ -74,14 +81,23 @@ class TestSolve:
         assert code == 2
         assert "overflows at lambda=" in err
 
-    def test_certification_failure_prints_nothing_exit_2(self, capsys):
-        # lambda1 = 4211.23 is in the window, but the left-shot eigenfunction
-        # grows like e^46 on the right piece and its weighted mass is negative
-        code = main([
-            "solve", "--c", "0.0230080130735918", "--kappa", "1.0637183352308162",
-            "--beta0", "0.7688863376502032", "--beta1", "2.4459398491955393",
-            "--a", "0.2724338980859347",
-        ])
+    def test_decaying_eigenfunction_is_certified(self, capsys):
+        # lambda1 = 4211.23: the eigenfunction decays like e^-46 along the
+        # right piece, so it is shot from x = 1 there and glued at a + c
+        code = main(["solve", *DECAYING_ARGS])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "lambda: 4211.23" in out
+        line = next(l for l in out.splitlines() if l.startswith("rayleigh_rel_err:"))
+        assert float(line.split()[1]) <= 1e-10
+
+    def test_certification_failure_prints_nothing_exit_2(self, monkeypatch, capsys):
+        def refuse(a, p, res):
+            raise SolverError(f"weighted mass of the eigenfunction is not positive at "
+                              f"lambda={res.lam:.12g} (a={a}, p={p})")
+
+        monkeypatch.setattr(robineig.cli, "rayleigh_check", refuse)
+        code = main(["solve", *DECAYING_ARGS])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""

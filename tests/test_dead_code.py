@@ -1,10 +1,12 @@
-"""Guard: every public top-level name in ``src/robineig`` is used by the package.
+"""Guard: every top-level name in ``src/robineig``, private ones included, is
+used by the package.
 
 A function, class or constant that only tests call belongs in ``tests/``;
-one that nothing calls should go.  Names are resolved from the syntax tree,
-so docstrings and comments do not count as uses.  A name defined in module M
-counts as used when it is loaded in M outside its own definition, or when
-another module imports it from M and loads it, or loads ``M.name`` after
+one that nothing calls should go.  Dunder names such as ``__version__`` are
+not checked.  Names are resolved from the syntax tree, so docstrings and
+comments do not count as uses.  A name defined in module M counts as used
+when it is loaded in M outside its own definition, or when another module
+imports it from M and loads it, or loads ``M.name`` after
 ``from . import M``.
 """
 
@@ -25,7 +27,8 @@ def _definitions(tree: ast.Module) -> dict[str, ast.stmt]:
             for target in targets:
                 if isinstance(target, ast.Name):
                     defs[target.id] = node
-    return {name: node for name, node in defs.items() if not name.startswith("_")}
+    return {name: node for name, node in defs.items()
+            if not (name.startswith("__") and name.endswith("__"))}
 
 
 def _loads(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
@@ -56,7 +59,7 @@ def _uses_elsewhere(tree: ast.Module, module: str) -> set[str]:
     return used
 
 
-def unused_public_names(package: Path = PACKAGE) -> list[str]:
+def unused_names(package: Path = PACKAGE) -> list[str]:
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(package.glob("*.py"))}
     unused = []
@@ -73,14 +76,23 @@ def unused_public_names(package: Path = PACKAGE) -> list[str]:
 
 
 def test_every_public_name_is_used_by_the_package():
-    assert unused_public_names() == []
+    assert unused_names() == []
 
 
-def test_the_guard_sees_an_unused_name(tmp_path):
-    # a copy of the package with one extra public function nothing calls
+def _copy_with(tmp_path, name: str) -> Path:
+    """A copy of the package whose ``model.py`` ends with a function ``name``
+    that nothing calls."""
     for path in PACKAGE.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text())
     with open(tmp_path / "model.py", "a") as fh:
-        fh.write('\n\ndef orphan():\n    """orphan() is only named in this docstring."""\n'
-                 '    return orphan\n')
-    assert unused_public_names(tmp_path) == ["model.orphan"]
+        fh.write(f'\n\ndef {name}():\n    """{name}() is only named in this docstring."""\n'
+                 f'    return {name}\n')
+    return tmp_path
+
+
+def test_the_guard_sees_an_unused_name(tmp_path):
+    assert unused_names(_copy_with(tmp_path, "orphan")) == ["model.orphan"]
+
+
+def test_the_guard_sees_an_unused_private_name(tmp_path):
+    assert unused_names(_copy_with(tmp_path, "_orphan")) == ["model._orphan"]

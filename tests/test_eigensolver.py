@@ -56,17 +56,27 @@ class TestBracketScan:
     def test_linear_residual_single_bracket(self):
         w = SpectralWindow(0.0, 10.0)
         out = bracket_scan(lambda lam: lam - 4.33, w, 100)
-        assert len(out) == 1
-        assert out[0].lo < 4.33 < out[0].hi
+        assert out.lo < 4.33 < out.hi
 
     def test_constant_positive_empty(self):
         w = SpectralWindow(0.0, 10.0)
-        assert bracket_scan(lambda lam: 1.0, w, 100) == []
+        assert bracket_scan(lambda lam: 1.0, w, 100) is None
 
     def test_exact_zero_degenerate_bracket(self):
         w = SpectralWindow(0.0, 10.0)
         out = bracket_scan(lambda lam: lam - 5.0, w, 10)
-        assert any(b.lo == b.hi == 5.0 for b in out)
+        assert out.lo == out.hi == 5.0
+
+    def test_stops_at_the_leftmost_bracket(self):
+        calls = []
+
+        def residual(lam):
+            calls.append(lam)
+            return math.cos(lam)  # sign changes at pi/2, 3 pi/2, 5 pi/2
+
+        out = bracket_scan(residual, SpectralWindow(0.0, 10.0), 100)
+        assert out.lo < math.pi / 2.0 < out.hi
+        assert len(calls) == 17  # lambda = 0, 0.1, ..., 1.6
 
     def test_shooting_case_leftmost_contains_eigenvalue(self, p_default, cfg_default):
         from robineig.propagator import shooting_residual
@@ -74,9 +84,9 @@ class TestBracketScan:
         a = 0.35
         w = spectral_window(p_default.c, p_default.kappa)
         out = bracket_scan(lambda lam: shooting_residual(a, p_default, lam), w, 900)
-        assert out
+        assert out is not None
         lam_hat = principal_eigenvalue(a, p_default, cfg_default).lam
-        assert out[0].lo <= lam_hat <= out[0].hi
+        assert out.lo <= lam_hat <= out.hi
 
 
 class TestBisect:
@@ -234,15 +244,15 @@ class TestLambdaCurve:
             lambda_curve(p, SolverConfig(n_a=3))
 
 
-def _quotient_scale(p: Params, lam: float) -> float:
-    # _energy_and_mass divides both sums by e^{2 mu (1-c)}
-    return math.exp(-2.0 * math.sqrt(lam) * (1.0 - p.c))
+def _quotient_scale(a: float, lam: float) -> float:
+    # _energy_and_mass divides both sums by e^{2 mu a}
+    return math.exp(-2.0 * math.sqrt(lam) * a)
 
 
 def _assert_matches_simpson_oracle(a: float, p: Params, res: EigenResult) -> None:
     num, den = _energy_and_mass(a, p, res.lam)
     ref_num, ref_den = simpson_energy_and_mass(a, p, res.lam)
-    scale = _quotient_scale(p, res.lam)
+    scale = _quotient_scale(a, res.lam)
     assert num == pytest.approx(scale * ref_num, rel=1e-10, abs=0.0)
     assert den == pytest.approx(scale * ref_den, rel=1e-10, abs=0.0)
     assert rayleigh_check(a, p, res) == pytest.approx(simpson_defect(a, p, res.lam), abs=1e-10)
@@ -333,13 +343,15 @@ class TestRayleighCheck:
         (0.05, Params(0.05, 1.5, 0.05, 20.0)),  # decays towards x = 1
     ])
     def test_defect_is_the_weighted_shooting_residual(self, a, p, cfg_default):
-        # integration by parts on the piecewise-exact u:
-        # num/den - lambda = u(1) r(lambda) / int m u^2, so the check re-tests r
+        # integration by parts on the eigenfunction glued at b = a + c:
+        # num/den - lambda = (u_L(b)/v(b)) r(lambda) / int m phi^2, with u_L
+        # shot from x = 0 and v from x = 1, so the check re-tests r
         lam = 1.0001 * principal_eigenvalue(a, p, cfg_default).lam
         num, den = _energy_and_mass(a, p, lam)
-        mass = den / _quotient_scale(p, lam)
-        u1, _ = propagate(1.0, p.beta0, lam, p.kappa, a, p.c, 1.0 - a - p.c)
-        weighted_residual = u1 * shooting_residual(a, p, lam) / mass
+        mass = den / _quotient_scale(a, lam)
+        u_b, _ = propagate(1.0, p.beta0, lam, p.kappa, a, p.c, 0.0)
+        v_b, _ = propagate(1.0, p.beta1, lam, p.kappa, 1.0 - a - p.c, 0.0, 0.0)
+        weighted_residual = (u_b / v_b) * shooting_residual(a, p, lam) / mass
         assert num / den - lam == pytest.approx(weighted_residual, rel=1e-8, abs=0.0)
 
     def test_no_overflow_where_the_unscaled_integrals_would(self, cfg_default):
@@ -353,13 +365,31 @@ class TestRayleighCheck:
         assert rayleigh_check(a, p, res) <= 1e-12
 
     def test_mass_refusal_names_lambda_and_instance(self):
-        p = Params(0.3, 2.0, 4.0, 4.0)
+        # small betas and a negative mean weight: far below lambda1 the glued
+        # solution is nearly constant, and its weighted mass is -0.096
+        p = Params(0.3, 2.0, 0.01, 0.01)
         res = EigenResult(1e-3, Bracket(1e-3, 1e-3, 0.0, 0.0), 0, 0.0, True)
         with pytest.raises(SolverError, match=r"not positive at lambda=0\.001 \(a=0\.35, p=Params"):
             rayleigh_check(0.35, p, res)
 
 
 _WIDE_BETA = st.one_of(st.just(0.0), st.floats(-4.0, 3.0).map(lambda e: 10.0 ** e))
+_WIDE_BOX = dict(c=st.floats(0.01, 0.9), log_kappa=st.floats(math.log(0.01), math.log(20.0)),
+                 beta0=_WIDE_BETA, beta1=_WIDE_BETA, s=st.floats(0.0, 1.0))
+# the CLI case lambda1 = 4211.23: mu (1-a-c) = 46, the eigenfunction decays towards x = 1
+_DECAYING = dict(c=0.0230080130735918, log_kappa=math.log(1.0637183352308162),
+                 beta0=0.7688863376502032, beta1=2.4459398491955393,
+                 s=0.2724338980859347 / (1.0 - 0.0230080130735918))
+
+
+def _wide_solve(c, log_kappa, beta0, beta1, s):
+    """``(a, p, result)``, with None for a refusal or the rejected Neumann pair."""
+    p = Params(c, math.exp(log_kappa), beta0, beta1)
+    a = s * (1.0 - c)
+    try:
+        return a, p, principal_eigenvalue(a, p, SolverConfig())
+    except (SolverError, ValueError):
+        return a, p, None
 
 
 def _passes(defect) -> bool:
@@ -374,29 +404,71 @@ def _passes(defect) -> bool:
 # lambda keeps the defect at 3.6e-11) and on an eigenfunction decaying to x = 1
 @example(c=0.9, log_kappa=math.log(20.0), beta0=0.0, beta1=1e-4, s=0.0)
 @example(c=0.05, log_kappa=math.log(1.5), beta0=0.05, beta1=20.0, s=0.05 / 0.95)
-@given(c=st.floats(0.01, 0.9), log_kappa=st.floats(math.log(0.01), math.log(20.0)),
-       beta0=_WIDE_BETA, beta1=_WIDE_BETA, s=st.floats(0.0, 1.0))
+@given(**_WIDE_BOX)
 def test_closed_form_and_oracle_agree_on_pass_fail_over_the_wide_box(c, log_kappa, beta0,
                                                                      beta1, s):
-    p = Params(c, math.exp(log_kappa), beta0, beta1)
-    a = s * (1.0 - c)
-    try:
-        res = principal_eigenvalue(a, p, SolverConfig())
-    except (SolverError, ValueError):  # out of window, or the rejected Neumann pair
+    a, p, res = _wide_solve(c, log_kappa, beta0, beta1, s)
+    if res is None:
         return
-    # Both sides integrate the solution shot from x = 0.  On the right piece
-    # the eigenfunction decays like e^{-mu s}, and rounding in (u, u') at
-    # a + c seeds the growing mode e^{mu s}: its share of the mass grows like
-    # (k eps)^2 e^{2 mu (1-a-c)}, about 1e-12 at mu (1-a-c) = 20 for k = 30.
-    # From about 26 on it reaches the 1e-6 threshold and neither quotient
-    # says anything about lambda1, so decisions are compared only up to 20;
-    # the CLI test of a certification failure shows a case beyond.  Past
-    # mu a = 354 the oracle's samples of u^2 overflow.
+    # The closed form integrates the eigenfunction glued at a + c, each end
+    # shot in its growing direction; the oracle samples the solution shot
+    # from x = 0.  On the right piece the eigenfunction decays like
+    # e^{-mu s}, and rounding in (u, u') at a + c seeds the growing mode
+    # e^{mu s}: its share of the oracle's mass grows like (k eps)^2
+    # e^{2 mu (1-a-c)}, about 1e-12 at mu (1-a-c) = 20 for k = 30.  From
+    # about 26 on it reaches the 1e-6 threshold and the oracle's quotient
+    # says nothing about lambda1, so decisions are compared only up to 20;
+    # the next property certifies the closed form beyond.  Past mu a = 354
+    # the oracle's samples of u^2 overflow.
     mu = math.sqrt(res.lam)
     if mu * (1.0 - a - c) > 20.0 or mu * a > 354.0:
         return
     assert _passes(lambda: rayleigh_check(a, p, res)) == _passes(
         lambda: simpson_defect(a, p, res.lam))
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@example(**_DECAYING)
+@given(**_WIDE_BOX)
+def test_every_accepted_wide_box_solve_is_certified(c, log_kappa, beta0, beta1, s):
+    a, p, res = _wide_solve(c, log_kappa, beta0, beta1, s)
+    if res is not None:
+        assert rayleigh_check(a, p, res) <= 1e-6
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@example(**_DECAYING, log_lams=[-12.0, -3.0, -1.0, 0.0], near=[-7.0, -2.0])
+@given(**_WIDE_BOX, log_lams=st.lists(st.floats(-12.0, 0.0), min_size=8, max_size=8),
+       near=st.lists(st.floats(-7.0, -1.0), min_size=2, max_size=2))
+def test_residual_is_positive_exactly_below_lambda1(c, log_kappa, beta0, beta1, s, log_lams,
+                                                    near):
+    # the lemma of principal_eigenvalue: inside the window, r > 0 exactly when
+    # lambda < lambda1; a refusal above the cap means r > 0 on all of it
+    a, p = s * (1.0 - c), Params(c, math.exp(log_kappa), beta0, beta1)
+    if beta0 == beta1 == 0.0:
+        return
+    try:
+        lam1 = principal_eigenvalue(a, p, SolverConfig()).lam
+    except SolverError as exc:
+        if "above the window cap" not in str(exc):
+            return
+        lam1 = math.inf
+    cap = spectral_window(c, p.kappa).lambda_max
+    lams = [cap * 10.0 ** e for e in log_lams]
+    if lam1 < math.inf:
+        lams += [lam1 * (1.0 + sign * 10.0 ** e) for e in near for sign in (-1.0, 1.0)]
+    for lam in lams:
+        if lam <= cap and abs(lam - lam1) > 1e-8 * max(1.0, lam1):
+            assert (shooting_residual(a, p, lam) > 0.0) == (lam < lam1)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(**_WIDE_BOX, field=st.sampled_from(["c", "kappa", "beta0", "beta1"]),
+       value=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_params_are_rejected(c, log_kappa, beta0, beta1, s, field, value):
+    p = dataclasses.replace(Params(c, math.exp(log_kappa), beta0, beta1), **{field: value})
+    with pytest.raises(ValueError, match="must be finite"):
+        principal_eigenvalue(s * (1.0 - c), p, SolverConfig())
 
 
 @pytest.mark.parametrize("a, p", [

@@ -8,6 +8,9 @@ from robineig.model import Params
 from robineig.propagator import eigenfunction_profile, propagate, shooting_residual
 
 UNIT_STATES = ((1.0, 0.0), (0.0, 1.0))
+# at a = 1 - c and lambda = 510366.5 the state at x = 1 is within sqrt(lambda) of overflow
+NEXT_TO_OVERFLOW = Params(0.015946950339394972, 0.019010884008994106,
+                          0.039924068043241494, 0.0003208042352176134)
 
 
 def ode_propagator(m: float, s: float, lam: float) -> np.ndarray:
@@ -137,8 +140,7 @@ class TestShootingResidual:
         # a = 1 - c leaves no right piece, and the state at x = 1 is about 1e306:
         # u * sqrt(lambda) overflows, so an empty piece applied as cosh/sinh(0)
         # would turn the residual into nan, and the solve into a refusal
-        p = Params(0.015946950339394972, 0.019010884008994106,
-                   0.039924068043241494, 0.0003208042352176134)
+        p = NEXT_TO_OVERFLOW
         r = shooting_residual(1.0 - p.c, p, 510366.4976595049)
         assert math.isfinite(r) and r < -1e306
 
@@ -184,6 +186,16 @@ class TestEigenfunction:
                                 min(x, a), min(max(x - a, 0.0), p.c), max(x - a - p.c, 0.0))
             assert u[i] == pytest.approx(wu, rel=1e-12, abs=1e-12)
             assert du[i] == pytest.approx(wdu, rel=1e-12, abs=1e-12)
+
+    def test_profile_has_no_nan_next_to_overflow(self):
+        # empty right pieces at the samples near x = 1 are the identity even
+        # where u * sqrt(lambda) alone would overflow
+        p = NEXT_TO_OVERFLOW
+        with np.errstate(invalid="raise"):
+            u, du = eigenfunction_profile(1.0 - p.c, p, 510366.4976595049,
+                                          np.linspace(0.0, 1.0, 1001))
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(du))
+        assert u[-1] > 1e305
 
     def test_profile_rejects_out_of_range(self, p_default):
         with pytest.raises(ValueError):
