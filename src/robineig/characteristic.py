@@ -14,12 +14,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import Params
 
 LIMIT_KINDS = ("neumann", "dirichlet", "lou_neumann", "lou_dirichlet")
 # limit_root's scan resolution and bisection width
 _LIMIT_N_LAMBDA = 2000
 _LIMIT_TOL = 1e-12
+# hypothesis_bounds' lambda samples of h
+_H_SAMPLES = 256
 
 
 def char_f(a: float, p: Params, lam: float) -> float:
@@ -53,14 +57,20 @@ def beta0_star_bound(c: float, kappa: float) -> float:
     """Uniform (a- and lambda-independent) upper bound on beta0_star, the
     zero in beta0 of the beta1-derivative of char_f.
 
+    With ``t = pi (1-c) / (2 c sqrt(kappa))`` the bound is ``(sqrt(kappa)
+    pi / c) sinh t / (kappa + 1 - (kappa - 1) cosh t)``.  It is evaluated
+    divided through by ``cosh t``, with ``sech t = 2 e^{-t} / (1 + e^{-2t})``,
+    so a large t (small c) does not overflow.
+
     Raises ValueError when the denominator is not positive, i.e. outside the
     certified c-range.
     """
     t = math.pi * (1.0 - c) / (2.0 * c * math.sqrt(kappa))
-    den = kappa + 1.0 - (kappa - 1.0) * math.cosh(t)
+    e = math.exp(-t)
+    den = (kappa + 1.0) * (2.0 * e / (1.0 + e * e)) - (kappa - 1.0)
     if den <= 0.0:
         raise ValueError("bound not applicable: denominator non-positive")
-    return (math.sqrt(kappa) * math.pi / c) * math.sinh(t) / den
+    return (math.sqrt(kappa) * math.pi / c) * math.tanh(t) / den
 
 
 @dataclass(frozen=True)
@@ -95,8 +105,14 @@ def hypothesis_bounds(p: Params, lambda_window: tuple[float, float]) -> Hypothes
     h(lambda) is the threshold compared against cosh(sqrt(lambda)(2a+c-1))
     to decide the sign of the linear coefficient A(a) of the
     beta1-derivative of char_f; it is below 1 on the whole window under the
-    c-constraint.  h_max is sampled on 256 uniform lambda points of the
-    window (h is smooth; the fixed resolution keeps reports reproducible).
+    c-constraint.  h_max is the largest of 256 uniform lambda samples of
+    the window (h is smooth; the fixed resolution keeps reports
+    reproducible), evaluated as one array expression.  With ``z =
+    sqrt(lambda) (1-c)`` and ``theta = c sqrt(kappa lambda)``, h is written
+    as ``e^z [(kappa-1) sin theta (1 + e^{-2z}) - 2 sqrt(kappa) cos theta
+    (1 - e^{-2z})] / (2 (kappa+1) sin theta)``, so only the factor ``e^z``
+    can overflow: an h beyond the double range reads as a signed infinity,
+    never NaN, and h_max is finite or ``+inf`` on a spectral window.
     """
     lo, hi = lambda_window
     if p.kappa > 1.0:
@@ -113,35 +129,34 @@ def hypothesis_bounds(p: Params, lambda_window: tuple[float, float]) -> Hypothes
     if not c_ok:
         bound = None
     beta0_ok = bound is not None and p.beta0 > bound
-    k, n = p.kappa, 256
-    hs = []
-    for j in range(n):
-        lam = lo + (hi - lo) * j / (n - 1)
-        th, z = p.c * math.sqrt(k * lam), math.sqrt(lam) * (1.0 - p.c)
-        hs.append(((k - 1.0) * math.sin(th) * math.cosh(z)
-                   - 2.0 * math.sqrt(k) * math.cos(th) * math.sinh(z))
-                  / ((k + 1.0) * math.sin(th)))
-    h_max = max(hs)
+    k = p.kappa
+    lam = lo + (hi - lo) * np.arange(_H_SAMPLES) / (_H_SAMPLES - 1)
+    th, z = p.c * np.sqrt(k * lam), np.sqrt(lam) * (1.0 - p.c)
+    sn, q = np.sin(th), np.exp(-2.0 * z)
+    ratio = (((k - 1.0) * sn * (1.0 + q) - 2.0 * math.sqrt(k) * np.cos(th) * (1.0 - q))
+             / (2.0 * (k + 1.0) * sn))
+    with np.errstate(over="ignore"):  # h beyond the double range reads +-inf
+        h_max = float(np.max(np.exp(z) * ratio))
     return HypothesisReport(cs, bound, c_ok, beta0_ok, h_max)
 
 
-def _limit_cleared(kind: str, a: float, c: float, kappa: float, lam: float) -> float:
+def _limit_cleared(kind: str, a: float, c: float, kappa: float, lam, xp=math):
     """Denominator-cleared form of the limit equations.
 
     Continuous in lambda (no tan/tanh poles) and sharing the roots of the
     rational tan/tanh forms, so the scan+bisection machinery can be applied
-    without pole bookkeeping.
+    without pole bookkeeping.  With ``xp=numpy``, lam may be an array.
     """
-    sq = math.sqrt(lam)
+    sq = xp.sqrt(lam)
     rk = math.sqrt(kappa)
     theta = sq * rk * c
-    sn, cs = math.sin(theta), math.cos(theta)
+    sn, cs = xp.sin(theta), xp.cos(theta)
     if kind == "lou_neumann":
-        return rk * sn - math.tanh(sq * (1.0 - c)) * cs
+        return rk * sn - xp.tanh(sq * (1.0 - c)) * cs
     if kind == "lou_dirichlet":
-        return sn + rk * math.tanh(sq * (1.0 - c)) * cs
-    ta = math.tanh(sq * a)
-    lhs = math.tanh(sq * (1.0 - a - c))
+        return sn + rk * xp.tanh(sq * (1.0 - c)) * cs
+    ta = xp.tanh(sq * a)
+    lhs = xp.tanh(sq * (1.0 - a - c))
     if kind == "neumann":
         return lhs * (cs + ta * sn / rk) - (rk * sn - ta * cs)
     return lhs * (rk * ta * sn - cs) - (sn / rk + ta * cs)
@@ -151,8 +166,11 @@ def limit_root(kind: str, a: float, c: float, kappa: float) -> float:
     """Smallest positive root of the selected limit equation.
 
     Scans the admissible window (extended past the quarter-period bound for
-    the Dirichlet kinds, whose first root lies beyond it) using the
-    denominator-cleared residual, then bisects the leftmost bracket.
+    the Dirichlet kinds, whose first root lies beyond it) with the
+    denominator-cleared residual, evaluated on the whole 2001-point grid in
+    one numpy pass, then bisects the leftmost bracket with the scalar form
+    to width ``_LIMIT_TOL``.  Raises ValueError for an unknown kind, a
+    ``lou_*`` kind at ``a != 0``, or a window without a root.
     """
     from .eigensolver import SpectralWindow, bisect, bracket_scan, spectral_window
 
@@ -165,10 +183,10 @@ def limit_root(kind: str, a: float, c: float, kappa: float) -> float:
         # allow the trig piece a half period instead of a quarter
         w = SpectralWindow(w.lambda_min, (1.0 - 1e-9) * math.pi ** 2 / (c * c * kappa))
 
-    def residual(lam: float) -> float:
-        return _limit_cleared(kind, a, c, kappa, lam)
+    def residual(lam, xp=math):
+        return _limit_cleared(kind, a, c, kappa, lam, xp)
 
-    bracket = bracket_scan(residual, w, _LIMIT_N_LAMBDA)
+    bracket = bracket_scan(lambda lam: residual(lam, np), w, _LIMIT_N_LAMBDA)
     if bracket is None:
         raise ValueError(f"no root of {kind} limit equation found in the window")
     return bisect(residual, bracket, _LIMIT_TOL)

@@ -4,8 +4,8 @@ Inside the quarter-period window ``(0, pi^2/(4 c^2 kappa))`` the residual is
 positive exactly below the principal eigenvalue (see ``principal_eigenvalue``),
 so its sign is a monotone predicate.  The solver evaluates it once at the
 window cap, refuses if it is still positive there, and otherwise bisects the
-whole window.  ``bracket_scan`` and ``bisect`` remain for the oracles and the
-limit-equation roots.
+whole window.  ``bracket_scan`` (one array evaluation of a residual on a
+uniform grid) and ``bisect`` serve the oracles and the limit-equation roots.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .propagator import eigenfunction_profile, shooting_residual
 
 _POSITIVITY_XS = np.linspace(0.0, 1.0, 1001)  # built once, not per positivity check
 _POSITIVITY_XS.flags.writeable = False
+# below this upper end the bisection splits the bracket at its geometric mean
+_GEOMETRIC_BELOW = 1e-6
 
 
 class SolverError(RuntimeError):
@@ -58,24 +60,28 @@ def spectral_window(c: float, kappa: float) -> SpectralWindow:
 
 def bracket_scan(residual, w: SpectralWindow, n_lambda: int) -> Bracket | None:
     """The leftmost sign-change bracket of the residual on the uniform scan
-    grid, or None when there is none; the scan stops at the first one.
+    grid ``lambda_min + j * step``, ``j = 0..n_lambda``, or None when there
+    is none.
 
-    A grid point where the residual is exactly zero yields a degenerate
-    width-0 bracket (kept, not perturbed, for determinism).
+    ``residual`` is called once, on the whole grid as a numpy array, and
+    returns the array of its values there.  A sign change is found by
+    comparing signs, so residuals whose products underflow are still
+    bracketed.  A grid point where the residual is exactly zero yields a
+    degenerate width-0 bracket (kept, not perturbed, for determinism);
+    whichever event comes first on the grid wins.
     """
     step = (w.lambda_max - w.lambda_min) / n_lambda
-    prev_lam, prev_r = w.lambda_min, residual(w.lambda_min)
-    if prev_r == 0.0:
-        return Bracket(prev_lam, prev_lam, 0.0, 0.0)
-    for j in range(1, n_lambda + 1):
-        lam = w.lambda_min + j * step
-        r = residual(lam)
-        if r == 0.0:
-            return Bracket(lam, lam, 0.0, 0.0)
-        if prev_r * r < 0.0:
-            return Bracket(prev_lam, lam, prev_r, r)
-        prev_lam, prev_r = lam, r
-    return None
+    lam = w.lambda_min + np.arange(n_lambda + 1) * step
+    r = residual(lam)
+    s = np.sign(r)
+    event = s == 0.0
+    event[1:] |= s[:-1] * s[1:] < 0.0
+    j = int(np.argmax(event))
+    if not event[j]:
+        return None
+    if s[j] == 0.0:
+        return Bracket(float(lam[j]), float(lam[j]), 0.0, 0.0)
+    return Bracket(float(lam[j - 1]), float(lam[j]), float(r[j - 1]), float(r[j]))
 
 
 def bisect(residual, b: Bracket, tol: float) -> float:
@@ -86,7 +92,14 @@ def bisect(residual, b: Bracket, tol: float) -> float:
 
 def _bisect(residual, b: Bracket, tol: float) -> tuple[float, Bracket, int]:
     """Bisect on the predicate ``residual > 0``, deciding each step by sign
-    comparison (a product of two small residuals can underflow to zero)."""
+    comparison (a product of two small residuals can underflow to zero).
+
+    Once the upper end is at or below ``_GEOMETRIC_BELOW``, the split point
+    is the geometric mean ``sqrt(max(lo, 5e-324)) sqrt(hi)``, so a bracket
+    that starts at 0 reaches a tiny root in a bounded number of steps
+    (about 70 from the whole window) instead of halving down to it; the
+    arithmetic midpoint would take one step per binary order of magnitude.
+    A root above that floor never sees a geometric step."""
     if b.lo == b.hi:
         return b.lo, b, 0
     if not (b.lo < b.hi and (b.r_lo > 0.0 >= b.r_hi or b.r_hi > 0.0 >= b.r_lo)):
@@ -94,7 +107,10 @@ def _bisect(residual, b: Bracket, tol: float) -> tuple[float, Bracket, int]:
     lo, hi, r_lo, r_hi = b.lo, b.hi, b.r_lo, b.r_hi
     iters = 0
     while hi - lo > (tol if lo >= 1.0 else tol * lo):  # tol * min(1, lo), without a call
-        mid = 0.5 * (lo + hi)
+        if hi > _GEOMETRIC_BELOW:
+            mid = 0.5 * (lo + hi)
+        else:
+            mid = math.sqrt(max(lo, 5e-324)) * math.sqrt(hi)
         if mid <= lo or mid >= hi:
             break  # float resolution exhausted
         r_mid = residual(mid)

@@ -343,15 +343,16 @@ def _leftmost_root(residual, c: float, kappa: float) -> float | None:
     """Smallest positive root via the solver's own scan+refine+bisect policy."""
     w = spectral_window(c, kappa)
     n = 900
-    bracket = bracket_scan(residual, w, n)
+    scan = np.vectorize(residual, otypes=[float])
+    bracket = bracket_scan(scan, w, n)
     refines = 0
     while bracket is None and refines < 5:
         n *= 2
         refines += 1
-        bracket = bracket_scan(residual, w, n)
+        bracket = bracket_scan(scan, w, n)
     if bracket is None:
         bracket = bracket_scan(
-            residual, SpectralWindow(w.lambda_min / 1e3, w.lambda_max), n
+            scan, SpectralWindow(w.lambda_min / 1e3, w.lambda_max), n
         )
     if bracket is None:
         return None

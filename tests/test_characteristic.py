@@ -1,23 +1,38 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from theory import (
     DegenerateConfigError,
     PoleError,
     _linear_coeffs,
     beta0_star,
     char_g,
+    h_max_loop,
     limit_char_residual,
+    limit_root_loop,
 )
 
-from robineig.characteristic import beta0_star_bound, c_star, char_f, hypothesis_bounds, limit_root
+from robineig.characteristic import (
+    _LIMIT_TOL,
+    LIMIT_KINDS,
+    beta0_star_bound,
+    c_star,
+    char_f,
+    hypothesis_bounds,
+    limit_root,
+)
 from robineig.eigensolver import bisect, bracket_scan, principal_eigenvalue, spectral_window
 from robineig.model import Params, SolverConfig
 
 
 def leftmost_char_f_root(a: float, p: Params, n_lambda: int = 2000) -> float:
     w = spectral_window(p.c, p.kappa)
-    bracket = bracket_scan(lambda lam: char_f(a, p, lam), w, n_lambda)
+    bracket = bracket_scan(np.vectorize(lambda lam: char_f(a, p, lam), otypes=[float]),
+                           w, n_lambda)
     assert bracket is not None, "char_f has no root in the window"
     return bisect(lambda lam: char_f(a, p, lam), bracket, 1e-12)
 
@@ -275,3 +290,135 @@ class TestLimitEquations:
         assert limit_root("lou_neumann", 0.0, 0.3, 2.0) == pytest.approx(
             0.7239691990975208, abs=1e-9
         )
+
+
+# the limits workload's box, and a wide one; s places a in [0, 1-c]
+_LIMITS_BOX = dict(c=st.floats(0.15, 0.3), log_kappa=st.floats(0.0, math.log(2.0)),
+                   s=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+_WIDE_BOX = dict(c=st.floats(0.01, 0.95), log_kappa=st.floats(math.log(0.01), math.log(20.0)),
+                 s=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+
+
+def _roots_or_none(a, c, kappa):
+    """limit_root per kind (the ``lou_*`` kinds at a = 0 only), None where
+    the window holds no root."""
+    out = {}
+    for kind in LIMIT_KINDS:
+        if kind.startswith("lou_") and a != 0.0:
+            continue
+        try:
+            out[kind] = limit_root(kind, a, c, kappa)
+        except ValueError as exc:
+            assert "no root" in str(exc)
+            out[kind] = None
+    return out
+
+
+def _assert_roots_match_the_scalar_scan(c, log_kappa, s):
+    a, kappa = s * (1.0 - c), math.exp(log_kappa)
+    for kind, got in _roots_or_none(a, c, kappa).items():
+        want = limit_root_loop(kind, a, c, kappa)
+        if want is None or got is None:
+            assert got is want, (kind, got, want)
+        else:
+            assert abs(got - want) <= _LIMIT_TOL * max(1.0, want), (kind, got, want)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(**_LIMITS_BOX)
+def test_limit_roots_match_the_scalar_scan_on_the_limits_box(c, log_kappa, s):
+    _assert_roots_match_the_scalar_scan(c, log_kappa, s)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(**_WIDE_BOX)
+def test_limit_roots_match_the_scalar_scan_on_the_wide_box(c, log_kappa, s):
+    _assert_roots_match_the_scalar_scan(c, log_kappa, s)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(c=st.floats(0.01, 0.95), log_kappa=st.floats(math.log(0.01), math.log(20.0)),
+       beta0=st.floats(0.0, 10.0))
+def test_h_max_matches_the_scalar_loop(c, log_kappa, beta0):
+    kappa = math.exp(log_kappa)
+    # the loop's cosh overflows at sqrt(lambda_max) (1 - c) = pi (1-c) / (2 c sqrt(kappa))
+    assume(math.pi * (1.0 - c) / (2.0 * c * math.sqrt(kappa)) < 700.0)
+    w = spectral_window(c, kappa)
+    window = (w.lambda_min, w.lambda_max)
+    got = hypothesis_bounds(Params(c, kappa, beta0, 0.0), window).h_max
+    want = h_max_loop(Params(c, kappa, beta0, 0.0), window)
+    assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def _assert_no_warning(c, kappa, s):
+    # only the documented "no root" ValueError may leave limit_root; every
+    # numpy warning (overflow, invalid, divide) is an error here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _roots_or_none(s * (1.0 - c), c, kappa)
+        w = spectral_window(c, kappa)
+        rep = hypothesis_bounds(Params(c, kappa, 1.0, 0.0), (w.lambda_min, w.lambda_max))
+    assert not math.isnan(rep.h_max)
+    assert rep.h_max != -math.inf
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(c=st.one_of(st.floats(0.01, 0.95), st.floats(0.001, 0.01)),
+       log_kappa=st.floats(math.log(0.01), math.log(20.0)),
+       s=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+def test_limits_and_hypotheses_raise_no_warning(c, log_kappa, s):
+    _assert_no_warning(c, math.exp(log_kappa), s)
+
+
+# c down to 0.001, where pi (1-c) / (2 c sqrt(kappa)) passes the double range of cosh
+@pytest.mark.parametrize("c, kappa, s", [(0.001, 0.01, 0.0), (0.001, 2.0, 0.0),
+                                         (0.001, 20.0, 1.0), (0.002, 0.05, 0.5),
+                                         (0.01, 0.01, 0.0), (0.95, 20.0, 0.0)])
+def test_overflow_corners_raise_no_warning(c, kappa, s):
+    _assert_no_warning(c, kappa, s)
+
+
+class TestOverflowCorners:
+    def test_bound_at_small_c(self):
+        # t = pi (1-c) / (2 c sqrt(kappa)) = 15692: cosh t is beyond the double range
+        assert beta0_star_bound(0.001, 0.01) == pytest.approx(
+            0.1 * math.pi / 0.001 / 0.99, rel=1e-12)
+        with pytest.raises(ValueError, match="not applicable"):
+            beta0_star_bound(0.001, 2.0)
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(c=st.floats(0.01, 0.95), log_kappa=st.floats(math.log(0.01), math.log(20.0)))
+    def test_bound_matches_the_cosh_form(self, c, log_kappa):
+        kappa = math.exp(log_kappa)
+        t = math.pi * (1.0 - c) / (2.0 * c * math.sqrt(kappa))
+        assume(t < 700.0)
+        den = kappa + 1.0 - (kappa - 1.0) * math.cosh(t)
+        assume(abs(den) > 1e-6 * math.cosh(t))  # away from the sign change
+        if den <= 0.0:
+            with pytest.raises(ValueError, match="not applicable"):
+                beta0_star_bound(c, kappa)
+        else:
+            want = (math.sqrt(kappa) * math.pi / c) * math.sinh(t) / den
+            assert beta0_star_bound(c, kappa) == pytest.approx(want, rel=1e-12)
+
+    def test_h_max_at_small_c(self):
+        # h re-derived in 30-digit arithmetic, which has no overflow, on the same samples
+        import mpmath
+
+        for kappa in (0.01, 2.0):
+            w = spectral_window(0.001, kappa)
+            rep = hypothesis_bounds(Params(0.001, kappa, 1.0, 0.0), (w.lambda_min, w.lambda_max))
+            with mpmath.workdps(30):
+                k, c = mpmath.mpf(kappa), mpmath.mpf(0.001)
+                hs = []
+                for j in range(256):
+                    lam = mpmath.mpf(w.lambda_min + (w.lambda_max - w.lambda_min) * j / 255)
+                    th, z = c * mpmath.sqrt(k * lam), mpmath.sqrt(lam) * (1 - c)
+                    hs.append(((k - 1) * mpmath.sin(th) * mpmath.cosh(z)
+                               - 2 * mpmath.sqrt(k) * mpmath.cos(th) * mpmath.sinh(z))
+                              / ((k + 1) * mpmath.sin(th)))
+                want = float(max(hs))
+            if math.isinf(want):
+                assert rep.h_max == want  # kappa = 2: h passes the double range
+            else:
+                assert rep.h_max == pytest.approx(want, rel=1e-12)  # kappa = 0.01: -4.1e8

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 import robineig.cli
@@ -192,6 +194,21 @@ class TestCheckHypotheses:
         assert "c_star: 0.386" in out
         assert "beta0_star_bound: not applicable" in out
         assert "c_ok: false" in out
+
+    @pytest.mark.parametrize("kappa, bound, h_max", [
+        ("0.01", "beta0_star_bound: 317.333", "h_max: -4.14937e+08"),
+        ("2", "beta0_star_bound: not applicable", "h_max: inf"),
+    ])
+    def test_small_c_overflows_nothing(self, capsys, kappa, bound, h_max):
+        # cosh(pi (1-c) / (2 c sqrt(kappa))) is beyond the double range here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check-hypotheses", "--c", "0.001", "--kappa", kappa, "--beta0", "1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        assert bound in captured.out.splitlines()
+        assert h_max in captured.out.splitlines()
 
 
 class TestVerifyLimits:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from simpson_oracle import _simpson, simpson_defect, simpson_energy_and_mass
 from test_characteristic import leftmost_char_f_root
+from theory import scan_loop
 
 import robineig.eigensolver
 from robineig.characteristic import char_f
@@ -60,7 +61,7 @@ class TestBracketScan:
 
     def test_constant_positive_empty(self):
         w = SpectralWindow(0.0, 10.0)
-        assert bracket_scan(lambda lam: 1.0, w, 100) is None
+        assert bracket_scan(np.ones_like, w, 100) is None
 
     def test_exact_zero_degenerate_bracket(self):
         w = SpectralWindow(0.0, 10.0)
@@ -72,18 +73,33 @@ class TestBracketScan:
 
         def residual(lam):
             calls.append(lam)
-            return math.cos(lam)  # sign changes at pi/2, 3 pi/2, 5 pi/2
+            return np.cos(lam)  # sign changes at pi/2, 3 pi/2, 5 pi/2
 
         out = bracket_scan(residual, SpectralWindow(0.0, 10.0), 100)
         assert out.lo < math.pi / 2.0 < out.hi
-        assert len(calls) == 17  # lambda = 0, 0.1, ..., 1.6
+        assert len(calls) == 1  # one call on the whole grid
+        assert calls[0].shape == (101,)
+        assert calls[0][0] == 0.0 and calls[0][-1] == 10.0
+
+    def test_sign_change_of_underflowing_products(self):
+        # neighbouring residuals near 1e-200 multiply to below the double range
+        out = bracket_scan(lambda lam: 1e-200 * (4.33 - lam), SpectralWindow(0.0, 10.0), 100)
+        assert out is not None
+        assert out.lo < 4.33 < out.hi
+
+    def test_grid_and_bracket_match_the_scalar_scan(self):
+        w = SpectralWindow(1.370778e-5, 13.70778)
+        residual = np.vectorize(lambda lam: math.sin(3.0 * lam) - 0.2, otypes=[float])
+        out = bracket_scan(residual, w, 900)
+        assert out == scan_loop(residual, w, 900)
 
     def test_shooting_case_leftmost_contains_eigenvalue(self, p_default, cfg_default):
         from robineig.propagator import shooting_residual
 
         a = 0.35
         w = spectral_window(p_default.c, p_default.kappa)
-        out = bracket_scan(lambda lam: shooting_residual(a, p_default, lam), w, 900)
+        residual = np.vectorize(lambda lam: shooting_residual(a, p_default, lam), otypes=[float])
+        out = bracket_scan(residual, w, 900)
         assert out is not None
         lam_hat = principal_eigenvalue(a, p_default, cfg_default).lam
         assert out.lo <= lam_hat <= out.hi
@@ -200,6 +216,20 @@ class TestPrincipalEigenvalue:
         # both betas vanish: 4e-13 here, far below the width tol = 1e-10
         res = principal_eigenvalue(0.1, Params(0.5, 2.0, 1e-13, 1e-13), cfg_default)
         assert abs(res.lam - 4e-13) <= 1e-10 * 4e-13
+        assert res.bracket.hi - res.bracket.lo <= cfg_default.tol * res.bracket.lo
+
+    def test_tiny_lambda1_takes_a_bounded_number_of_steps(self, cfg_default, monkeypatch):
+        # lambda1 = 4e-300: halving from the cap would take about 1000 steps
+        calls = []
+
+        def counted(a, p, lam):
+            calls.append(lam)
+            return shooting_residual(a, p, lam)
+
+        monkeypatch.setattr(robineig.eigensolver, "shooting_residual", counted)
+        res = principal_eigenvalue(0.1, Params(0.5, 2.0, 1e-300, 1e-300), cfg_default)
+        assert len(calls) <= 100
+        assert abs(res.lam - 4e-300) <= 1e-10 * 4e-300
         assert res.bracket.hi - res.bracket.lo <= cfg_default.tol * res.bracket.lo
 
     def test_lambda1_not_resolved_from_zero_is_refused(self, cfg_default):

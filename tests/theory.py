@@ -5,13 +5,18 @@ linear-in-beta0 coefficients behind ``beta0_star``, and the rational forms
 of the Neumann/Dirichlet limit equations.  ``robineig.characteristic`` keeps
 what its commands run: ``char_f``, the hypothesis report and the
 pole-free ``limit_root``.
+
+It also keeps the scalar oracles of the array code: ``scan_loop`` (the
+point-by-point bracket scan), ``limit_root_loop`` (``limit_root`` on that
+scan) and ``h_max_loop`` (h sampled one lambda at a time).
 """
 
 from __future__ import annotations
 
 import math
 
-from robineig.characteristic import LIMIT_KINDS
+from robineig.characteristic import _LIMIT_N_LAMBDA, _LIMIT_TOL, LIMIT_KINDS, _limit_cleared
+from robineig.eigensolver import Bracket, SpectralWindow, bisect, spectral_window
 from robineig.model import Params
 
 
@@ -89,3 +94,51 @@ def limit_char_residual(kind: str, a: float, c: float, kappa: float, lam: float)
     if abs(den) < 1e-10 * max(1.0, abs(num)):
         raise PoleError(f"{kind} residual at a pole: lam={lam}")
     return lhs - num / den
+
+
+def scan_loop(residual, w: SpectralWindow, n_lambda: int) -> Bracket | None:
+    """Scalar bracket scan: walk the grid ``lambda_min + j * step`` one
+    point at a time and return the first exact zero (as a width-0 bracket)
+    or the first sign change, or None."""
+    step = (w.lambda_max - w.lambda_min) / n_lambda
+    prev_lam, prev_r = w.lambda_min, residual(w.lambda_min)
+    if prev_r == 0.0:
+        return Bracket(prev_lam, prev_lam, 0.0, 0.0)
+    for j in range(1, n_lambda + 1):
+        lam = w.lambda_min + j * step
+        r = residual(lam)
+        if r == 0.0:
+            return Bracket(lam, lam, 0.0, 0.0)
+        if (prev_r > 0.0 and r < 0.0) or (prev_r < 0.0 and r > 0.0):
+            return Bracket(prev_lam, lam, prev_r, r)
+        prev_lam, prev_r = lam, r
+    return None
+
+
+def limit_root_loop(kind: str, a: float, c: float, kappa: float) -> float | None:
+    """``limit_root`` with the scalar scan and the scalar residual; None
+    where the window holds no root."""
+    w = spectral_window(c, kappa)
+    if "dirichlet" in kind:
+        w = SpectralWindow(w.lambda_min, (1.0 - 1e-9) * math.pi ** 2 / (c * c * kappa))
+
+    def residual(lam: float) -> float:
+        return _limit_cleared(kind, a, c, kappa, lam)
+
+    bracket = scan_loop(residual, w, _LIMIT_N_LAMBDA)
+    return None if bracket is None else bisect(residual, bracket, _LIMIT_TOL)
+
+
+def h_max_loop(p: Params, lambda_window: tuple[float, float], n: int = 256) -> float:
+    """Largest of the n uniform samples of h(lambda) on the window, each
+    from the cosh/sinh form (which overflows for sqrt(lambda) (1-c) > 710)."""
+    lo, hi = lambda_window
+    k = p.kappa
+    hs = []
+    for j in range(n):
+        lam = lo + (hi - lo) * j / (n - 1)
+        th, z = p.c * math.sqrt(k * lam), math.sqrt(lam) * (1.0 - p.c)
+        hs.append(((k - 1.0) * math.sin(th) * math.cosh(z)
+                   - 2.0 * math.sqrt(k) * math.cos(th) * math.sinh(z))
+                  / ((k + 1.0) * math.sin(th)))
+    return max(hs)
