@@ -4,8 +4,10 @@ Inside the quarter-period window ``(0, pi^2/(4 c^2 kappa))`` the residual is
 positive exactly below the principal eigenvalue (see ``principal_eigenvalue``),
 so its sign is a monotone predicate.  The solver evaluates it once at the
 window cap, refuses if it is still positive there, and otherwise bisects the
-whole window.  ``bracket_scan`` (one array evaluation of a residual on a
-uniform grid) and ``bisect`` serve the oracles and the limit-equation roots.
+whole window.  A curve bisects all its placements in lockstep, one array
+residual per step.  ``bracket_scan`` (one array evaluation of a residual on
+a uniform grid) and ``bisect`` serve the oracles and the limit-equation
+roots.
 """
 
 from __future__ import annotations
@@ -37,18 +39,24 @@ class SpectralWindow:
 
 @dataclass(frozen=True)
 class Bracket:
-    lo: float
-    hi: float
-    r_lo: float
-    r_hi: float
+    """The final bisection bracket; arrays, one entry per lane, for a
+    placement array."""
+
+    lo: float | np.ndarray
+    hi: float | np.ndarray
+    r_lo: float | np.ndarray
+    r_hi: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class EigenResult:
-    lam: float
+    """``lam`` and ``char_f_residual`` are arrays for a placement array, and
+    ``iterations`` counts its lockstep steps."""
+
+    lam: float | np.ndarray
     bracket: Bracket
     iterations: int
-    char_f_residual: float
+    char_f_residual: float | np.ndarray
     positive_ok: bool
 
 
@@ -126,10 +134,10 @@ def _bisect(residual, b: Bracket, tol: float) -> tuple[float, Bracket, int]:
 
 def eigenfunction_positive(a: float, p: Params, lam: float) -> bool:
     u, _ = eigenfunction_profile(a, p, lam, _POSITIVITY_XS)
-    return bool(np.all(u > 0.0))
+    return bool((u > 0.0).all())
 
 
-def principal_eigenvalue(a: float, p: Params, cfg: SolverConfig) -> EigenResult:
+def principal_eigenvalue(a: float | np.ndarray, p: Params, cfg: SolverConfig) -> EigenResult:
     """Principal eigenvalue lambda1 for placement a, by bisecting the sign of
     the shooting residual r over the whole window ``(0, lambda_max]``.
 
@@ -154,13 +162,19 @@ def principal_eigenvalue(a: float, p: Params, cfg: SolverConfig) -> EigenResult:
     positive, lambda1 lies above the window and the solve is refused after a
     single residual call.  Otherwise the bracket ``r_lo > 0 >= r_hi`` is
     bisected to width ``cfg.tol``, or ``cfg.tol * bracket.lo`` below
-    lambda = 1, so a small lambda1 keeps its relative accuracy.  The
+    lambda = 1, so a small lambda1 keeps its relative accuracy; a bracket
+    that float resolution stops short of that width is refused.  The
     eigenfunction is then checked for positivity on 1001 samples at
     ``bracket.lo``, where the lemma makes it strictly positive; at the
     midpoint, the left-shot reconstruction of an eigenfunction that decays
     towards x = 1 is ill-conditioned.
+
+    ``a`` may be a 1-D array of placements (see ``_lockstep``): the result
+    then holds one lambda1 per placement, each the float solve's.
     """
     validate_params(p)
+    if isinstance(a, np.ndarray):
+        return _lockstep(a, p, cfg)
     check_placement(a, p.c)
 
     def residual(lam: float) -> float:
@@ -176,19 +190,93 @@ def principal_eigenvalue(a: float, p: Params, cfg: SolverConfig) -> EigenResult:
     if not math.isfinite(r_cap):
         raise SolverError(f"non-finite residual at lambda={w.lambda_max}")
     if r_cap > 0.0:
-        raise SolverError(
-            f"no bracket: lambda1 above the window cap {w.lambda_max:.6g} (a={a}, p={p})"
-        )
+        raise _above_cap(a, p, w)
     r_zero = p.beta0 + p.beta1 + p.beta0 * p.beta1
     lam, final, iters = _bisect(residual, Bracket(0.0, w.lambda_max, r_zero, r_cap), cfg.tol)
-    if final.lo == 0.0:
+    return EigenResult(lam, final, iters, _certify(a, p, final.lo, final.hi, cfg.tol), True)
+
+
+def _above_cap(a: float, p: Params, w: SpectralWindow) -> SolverError:
+    return SolverError(
+        f"no bracket: lambda1 above the window cap {w.lambda_max:.6g} (a={a}, p={p})"
+    )
+
+
+def _certify(a: float, p: Params, lo: float, hi: float, tol: float) -> float:
+    """Refuse a final bracket ``[lo, hi]`` that is not a certified lambda1;
+    otherwise return the scaled ``char_f`` residual at its midpoint."""
+    if lo == 0.0:
         raise SolverError(
             f"lambda1 not resolved from 0: the residual is not positive down to "
-            f"lambda={final.hi:.3g} (a={a}, p={p})"
+            f"lambda={hi:.3g} (a={a}, p={p})"
         )
-    if not eigenfunction_positive(a, p, final.lo):
-        raise SolverError(f"eigenfunction not positive at lambda={final.lo:.12g} (a={a}, p={p})")
-    return EigenResult(lam, final, iters, char_f_residual(a, p, lam), True)
+    if hi - lo > tol * min(1.0, lo):
+        raise SolverError(
+            f"bracket [{lo:.6g}, {hi:.6g}] not narrowed to width {tol * min(1.0, lo):.3g}: "
+            f"float resolution exhausted (a={a}, p={p})"
+        )
+    if not eigenfunction_positive(a, p, lo):
+        raise SolverError(f"eigenfunction not positive at lambda={lo:.12g} (a={a}, p={p})")
+    return char_f_residual(a, p, 0.5 * (lo + hi))
+
+
+def _lockstep(a: np.ndarray, p: Params, cfg: SolverConfig) -> EigenResult:
+    """``principal_eigenvalue`` on a 1-D array of placements, one lane each.
+
+    One array residual at the cap refuses the whole array if any lane is
+    positive (or non-finite) there.  Then every lane takes ``_bisect``'s
+    steps (the same split points, width and sign rule) with one array
+    residual per step, and freezes when its width is reached or float
+    resolution is exhausted; a frozen lane's residual is not read, so its
+    overflow raises nothing.  Each lane is then certified as a float solve
+    is.  ``iterations`` counts the lockstep steps.
+
+    A lane's bracket is the float solve's as long as every step sees the
+    same residual sign.  numpy's and math's transcendentals may differ in
+    the last bit, which flips a sign only where rounding already decides it,
+    next to the root; the two brackets then still agree to the width.  Where
+    the eigenfunction decays steeply towards x = 1, the positivity check at
+    ``bracket.lo`` is itself decided by rounding, and can then pass on one
+    of the two lower ends and fail on the other.
+    """
+    if a.ndim != 1:
+        raise ValueError(f"placements must be a 1-D array, got shape {a.shape}")
+    outside = ~((a >= 0.0) & (a <= 1.0 - p.c))
+    if outside.any():
+        check_placement(float(a[np.argmax(outside)]), p.c)
+    w = spectral_window(p.c, p.kappa)
+    tol = cfg.tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        r_hi = shooting_residual(a, p, np.full(a.shape, w.lambda_max))
+        refused = ~np.isfinite(r_hi) | (r_hi > 0.0)
+        if refused.any():
+            j = int(np.argmax(refused))
+            if not math.isfinite(r_hi[j]):
+                raise SolverError(
+                    f"non-finite residual at lambda={w.lambda_max} (a={a[j]}, p={p})")
+            raise _above_cap(float(a[j]), p, w)
+        lo, hi = np.zeros(a.shape), np.full(a.shape, w.lambda_max)
+        r_lo = np.full(a.shape, p.beta0 + p.beta1 + p.beta0 * p.beta1)
+        iters = 0
+        while True:
+            mid = np.where(hi > _GEOMETRIC_BELOW, 0.5 * (lo + hi),
+                           np.sqrt(np.maximum(lo, 5e-324)) * np.sqrt(hi))
+            active = (hi - lo > tol * np.minimum(1.0, lo)) & (mid > lo) & (mid < hi)
+            if not active.any():
+                break
+            r_mid = shooting_residual(a, p, mid)
+            bad = active & ~np.isfinite(r_mid)
+            if bad.any():
+                j = int(np.argmax(bad))
+                raise SolverError(f"non-finite residual at lambda={mid[j]} (a={a[j]}, p={p})")
+            iters += 1
+            up = active & ((r_mid > 0.0) == (r_lo > 0.0))
+            down = active & ~up
+            lo, r_lo = np.where(up, mid, lo), np.where(up, r_mid, r_lo)
+            hi, r_hi = np.where(down, mid, hi), np.where(down, r_mid, r_hi)
+    residuals = np.array([_certify(aj, p, lj, hj, tol)
+                          for aj, lj, hj in zip(a.tolist(), lo.tolist(), hi.tolist())])
+    return EigenResult(0.5 * (lo + hi), Bracket(lo, hi, r_lo, r_hi), iters, residuals, True)
 
 
 def char_f_residual(a: float, p: Params, lam: float) -> float:
@@ -205,16 +293,20 @@ def char_f_residual(a: float, p: Params, lam: float) -> float:
 
 
 def a_grid(c: float, n_a: int) -> list[float]:
-    return [(1.0 - c) * j / (n_a - 1) for j in range(n_a)]
+    """``n_a`` uniform placements from 0 to ``1 - c``.  The last is ``1 - c``
+    itself: ``(1 - c) * j / j`` can round above it."""
+    return [(1.0 - c) * j / (n_a - 1) for j in range(n_a - 1)] + [1.0 - c]
 
 
 def lambda_curve(p: Params, cfg: SolverConfig) -> list[tuple[float, float]]:
-    """The map a -> principal eigenvalue on the uniform placement grid.
+    """The map a -> principal eigenvalue on the uniform placement grid, all
+    placements solved in lockstep.
 
     Any point failure aborts the whole curve; sweep output never contains
     partial curves.
     """
-    return [(a, principal_eigenvalue(a, p, cfg).lam) for a in a_grid(p.c, cfg.n_a)]
+    grid = a_grid(p.c, cfg.n_a)
+    return list(zip(grid, principal_eigenvalue(np.array(grid), p, cfg).lam.tolist()))
 
 
 def _sin2_integral(om: float, t: float) -> float:

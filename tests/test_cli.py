@@ -114,6 +114,14 @@ class TestSolve:
         assert code == 2
         assert "solver failure" in capsys.readouterr().err
 
+    def test_bracket_short_of_its_width_exit_2(self, capsys):
+        code = main(["solve", "--c", "0.5", "--kappa", "2", "--beta0", "5e-324",
+                     "--beta1", "5e-324", "--a", "0.1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "not narrowed to width" in captured.err
+
 
 class TestCurve:
     def test_stdout_table(self, capsys):
@@ -126,6 +134,25 @@ class TestCurve:
         lines = [l for l in out.splitlines() if l.strip()]
         assert len(lines) == 5
         assert float(lines[0].split()[0]) == 0.0
+
+    def test_last_placement_is_one_minus_c(self, capsys):
+        # (1 - c) * 80 / 80 rounds to 0.9200000000000002 at c = 0.08
+        code = main(["curve", "--c", "0.08", "--kappa", "20", "--beta0", "1", "--beta1", "1"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(lines) == 81 and lines[-1].startswith("0.920000 ")
+
+    def test_residual_overflow_exit_2(self, capsys):
+        # the cap residual overflows on the lanes near a = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["curve", "--c", "0.001", "--kappa", "0.01", "--beta0", "1",
+                         "--beta1", "1", "--n-a", "9"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("solver failure: non-finite residual at lambda=")
+        assert "Traceback" not in captured.err
 
     def test_out_file(self, tmp_path, capsys):
         path = tmp_path / "curve.dat"

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from theory import profile_oracle
+
 from robineig.model import Params
 from robineig.propagator import eigenfunction_profile, propagate, shooting_residual
 
@@ -200,6 +202,43 @@ class TestEigenfunction:
     def test_profile_rejects_out_of_range(self, p_default):
         with pytest.raises(ValueError):
             eigenfunction_profile(0.35, p_default, 5.0, np.array([-0.1, 0.5]))
+
+    def test_profile_rejects_descending_samples(self, p_default):
+        with pytest.raises(ValueError, match="ascending"):
+            eigenfunction_profile(0.35, p_default, 5.0, np.array([0.2, 0.6, 0.5]))
+        with pytest.raises(ValueError, match="ascending"):
+            eigenfunction_profile(0.35, p_default, 5.0, np.linspace(1.0, 0.0, 11))
+
+    def test_profile_equals_the_single_propagate_oracle(self, rng):
+        # each sample propagated across its own piece from that piece's start
+        # state is the three-piece propagate over the lengths up to it, bit for
+        # bit: the empty pieces there are exact identities
+        xs_fixed = np.linspace(0.0, 1.0, 1001)
+        for k in range(2000):
+            c = rng.uniform(0.01, 0.95)
+            kappa, b0, b1 = np.exp(rng.uniform(np.log([0.01, 1e-4, 1e-4]), np.log([20.0, 1e3, 1e3])))
+            p = Params(c, float(kappa), 0.0 if k % 10 == 0 else float(b0), float(b1))
+            a = (0.0, 1.0 - c)[k % 2] if k % 8 < 2 else rng.uniform(0.0, 1.0 - c)
+            # lambda up to the window cap, with sqrt(lambda) below 300 so nothing overflows
+            lam = float(min(np.pi ** 2 / (4.0 * c * c * kappa), 9e4)
+                        * 10.0 ** rng.uniform(-6.0, 0.0))
+            if k % 4 == 0:
+                xs = xs_fixed
+            else:
+                xs = np.sort(np.concatenate([rng.uniform(0.0, 1.0, 200),
+                                             [0.0, a, min(a + c, 1.0), 1.0]]))
+            u, du = eigenfunction_profile(a, p, lam, xs)
+            u_ref, du_ref = profile_oracle(a, p, lam, xs)
+            assert np.array_equal(u, u_ref) and np.array_equal(du, du_ref), (a, p, lam)
+
+    def test_profile_equals_the_oracle_next_to_overflow(self):
+        p = NEXT_TO_OVERFLOW
+        a = 1.0 - p.c
+        xs = np.sort(np.concatenate([np.linspace(0.0, 1.0, 1001), [a, a + p.c]]))
+        with np.errstate(all="raise"):
+            u, du = eigenfunction_profile(a, p, 510366.4976595049, xs)
+            u_ref, du_ref = profile_oracle(a, p, 510366.4976595049, xs)
+        assert np.array_equal(u, u_ref) and np.array_equal(du, du_ref)
 
     def test_residual_equals_boundary_defect(self, p_default):
         a, lam = 0.35, 5.0

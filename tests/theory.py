@@ -8,16 +8,20 @@ pole-free ``limit_root``.
 
 It also keeps the scalar oracles of the array code: ``scan_loop`` (the
 point-by-point bracket scan), ``limit_root_loop`` (``limit_root`` on that
-scan) and ``h_max_loop`` (h sampled one lambda at a time).
+scan), ``h_max_loop`` (h sampled one lambda at a time) and
+``profile_oracle`` (the sampled profile as one three-piece ``propagate``).
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from robineig.characteristic import _LIMIT_N_LAMBDA, _LIMIT_TOL, LIMIT_KINDS, _limit_cleared
 from robineig.eigensolver import Bracket, SpectralWindow, bisect, spectral_window
-from robineig.model import Params
+from robineig.model import Params, check_placement
+from robineig.propagator import propagate
 
 
 class PoleError(ArithmeticError):
@@ -142,3 +146,18 @@ def h_max_loop(p: Params, lambda_window: tuple[float, float], n: int = 256) -> f
                    - 2.0 * math.sqrt(k) * math.cos(th) * math.sinh(z))
                   / ((k + 1.0) * math.sin(th)))
     return max(hs)
+
+
+def profile_oracle(a: float, p: Params, lam: float, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, u') of the solution shot from (1, beta0) at x = 0, over sample
+    points xs in [0,1] in any order: one three-piece ``propagate`` on the
+    arrays of the lengths up to each x, three transcendental pairs per sample."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.size and (xs.min() < 0.0 or xs.max() > 1.0):
+        raise ValueError("sample points outside [0,1]")
+    check_placement(a, p.c)
+    d = xs - a
+    return propagate(
+        1.0, p.beta0, lam, p.kappa,
+        np.minimum(xs, a), np.minimum(np.maximum(d, 0.0), p.c), np.maximum(d - p.c, 0.0), xp=np,
+    )
