@@ -7,6 +7,13 @@ reports the classification theorem's hypotheses (the admissibility threshold
 ``c_star``, the uniform bound ``beta0_star_bound`` and the amplitude bound
 ``h``), and ``limit_root`` solves the classical Neumann/Dirichlet limit
 characteristic equations.
+
+The ``neumann`` and ``dirichlet`` limit roots bisect ``_limit_predicate``, a
+zero count of the shot solution in O(1) tanh/atan/tan calls, positive
+exactly below the principal root (for ``neumann`` only when ``kappa c < 1 -
+c``; otherwise there is no positive principal eigenvalue).  The ``lou_*``
+reductions at a = 0 keep a 2001-point scan of their closed forms, so that
+the two methods check each other.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 from .model import Params
 
 LIMIT_KINDS = ("neumann", "dirichlet", "lou_neumann", "lou_dirichlet")
-# limit_root's scan resolution and bisection width
+# the lou_* scan resolution and limit_root's bisection width
 _LIMIT_N_LAMBDA = 2000
 _LIMIT_TOL = 1e-12
 # hypothesis_bounds' lambda samples of h
@@ -140,12 +147,12 @@ def hypothesis_bounds(p: Params, lambda_window: tuple[float, float]) -> Hypothes
     return HypothesisReport(cs, bound, c_ok, beta0_ok, h_max)
 
 
-def _limit_cleared(kind: str, a: float, c: float, kappa: float, lam, xp=math):
-    """Denominator-cleared form of the limit equations.
+def _lou_cleared(kind: str, c: float, kappa: float, lam, xp=math):
+    """Denominator-cleared form of the ``lou_*`` (a = 0) limit equations.
 
-    Continuous in lambda (no tan/tanh poles) and sharing the roots of the
-    rational tan/tanh forms, so the scan+bisection machinery can be applied
-    without pole bookkeeping.  With ``xp=numpy``, lam may be an array.
+    Continuous in lambda (no tan pole) and sharing the roots of the rational
+    tan/tanh forms, so the scan+bisection machinery can be applied without
+    pole bookkeeping.  With ``xp=numpy``, lam may be an array.
     """
     sq = xp.sqrt(lam)
     rk = math.sqrt(kappa)
@@ -153,26 +160,90 @@ def _limit_cleared(kind: str, a: float, c: float, kappa: float, lam, xp=math):
     sn, cs = xp.sin(theta), xp.cos(theta)
     if kind == "lou_neumann":
         return rk * sn - xp.tanh(sq * (1.0 - c)) * cs
-    if kind == "lou_dirichlet":
-        return sn + rk * xp.tanh(sq * (1.0 - c)) * cs
-    ta = xp.tanh(sq * a)
-    lhs = xp.tanh(sq * (1.0 - a - c))
-    if kind == "neumann":
-        return lhs * (cs + ta * sn / rk) - (rk * sn - ta * cs)
-    return lhs * (rk * ta * sn - cs) - (sn / rk + ta * cs)
+    return sn + rk * xp.tanh(sq * (1.0 - c)) * cs
+
+
+def _limit_predicate(kind: str, a: float, c: float, kappa: float, lam: float) -> float:
+    """Positive exactly below the principal root of the ``neumann`` or
+    ``dirichlet`` limit equation: a zero count of the shot solution, carried
+    as the ratio t = u'/u across the three pieces.
+
+    The solution is shot from (u, u') = (1, 0) at x = 0 for ``neumann`` and
+    from (0, 1) for ``dirichlet``.  With ``sq = sqrt(lam)``, ``om = sqrt(kappa
+    lam)`` and ``T = tanh(sq (1-a-c))``:
+
+    - On [0, a], u = cosh(sq x) or sinh(sq x)/sq has no zero in (0, a], and
+      ``t_a = sq tanh(sq a)`` or ``sq / tanh(sq a)``.
+    - On the favourable piece, u is a positive multiple of cos(om s -
+      alpha), with ``alpha = atan(t_a / om)`` in [0, pi/2]; the Dirichlet
+      one is written ``atan2(1, sqrt(kappa) tanh(sq a))``, so a = 0 gives
+      pi/2 exactly.  Below both windows' caps om c < pi, so u has a zero on
+      this piece iff ``om c - alpha >= pi/2``; otherwise ``t_b = -om tan(om
+      c - alpha)`` at b = a + c.
+    - On [b, 1], u(b + s) = u(b) cosh(sq s) (1 + (t_b/sq) tanh(sq s)), and
+      tanh is increasing, so u has no zero there iff ``1 + (t_b/sq) T > 0``.
+      For ``neumann`` the predicate also needs ``t_b/sq + T > 0``, the sign
+      of u'(1).  As 0 <= T <= 1, that term positive makes the first one
+      positive too, so the ``neumann`` term is ``t_b/sq + T`` alone.
+
+    The returned value is -1 for a zero on the favourable piece, else the
+    ``dirichlet`` or the ``neumann`` term.  Only tanh, atan and tan appear,
+    so nothing overflows, even at c = 0.001.
+
+    Why the sign is the predicate.  Let mu1(lambda) be the principal
+    eigenvalue of -u'' - lambda m u under the limit's boundary conditions;
+    it is concave in lambda.
+
+    - ``dirichlet``: u has no zero in (0, 1] exactly when mu1(lambda) > 0.
+      A first zero at x0 <= 1 makes 0 the principal eigenvalue on (0, x0),
+      and by domain monotonicity mu1(lambda) <= 0; a u positive on (0, 1]
+      is a positive supersolution, so mu1(lambda) > 0.  mu1(0) = pi^2 > 0,
+      so by concavity mu1 > 0 exactly below the principal root.
+    - ``neumann``: the predicate is u > 0 on [0, 1] together with the
+      solver's shooting residual at beta0 = beta1 = 0, u'(1) > 0.  Inside
+      the quarter-period window the lemma of
+      ``eigensolver.principal_eigenvalue`` holds for it: it is positive
+      exactly where mu1(lambda) > 0.  Here mu1(0) = 0 and mu1'(0) has the
+      sign of -int m = (1 - c) - kappa c, so when ``kappa c < 1 - c``,
+      concavity makes mu1 > 0 exactly below the principal root.  Otherwise
+      mu1 < 0 for every lambda > 0: there is no positive principal
+      eigenvalue, and ``limit_root`` refuses before any call.
+    """
+    sq = math.sqrt(lam)
+    rk = math.sqrt(kappa)
+    ta = math.tanh(sq * a)
+    alpha = math.atan(ta / rk) if kind == "neumann" else math.atan2(1.0, rk * ta)
+    phase = sq * rk * c - alpha
+    if phase >= 0.5 * math.pi:
+        return -1.0
+    q = -rk * math.tan(phase)  # t_b / sq
+    tr = math.tanh(sq * (1.0 - a - c))
+    return q + tr if kind == "neumann" else 1.0 + q * tr
 
 
 def limit_root(kind: str, a: float, c: float, kappa: float) -> float:
-    """Smallest positive root of the selected limit equation.
+    """Smallest positive root of the selected limit equation, to width
+    ``_LIMIT_TOL``.
 
-    Scans the admissible window (extended past the quarter-period bound for
-    the Dirichlet kinds, whose first root lies beyond it) with the
-    denominator-cleared residual, evaluated on the whole 2001-point grid in
-    one numpy pass, then bisects the leftmost bracket with the scalar form
-    to width ``_LIMIT_TOL``.  Raises ValueError for an unknown kind, a
-    ``lou_*`` kind at ``a != 0``, or a window without a root.
+    The window is the quarter-period window, extended to half a period for
+    the Dirichlet kinds, whose first root lies beyond the quarter.
+
+    - ``neumann`` and ``dirichlet`` bisect ``_limit_predicate`` from
+      ``Bracket(0, window max, 1, predicate at the max)``, after one
+      predicate call at the window maximum.  ``neumann`` is refused without
+      a call when ``kappa c >= 1 - c``: then int m >= 0 and there is no
+      positive principal eigenvalue.  A predicate still positive at the
+      window maximum means the root lies above the cap.
+    - ``lou_neumann`` and ``lou_dirichlet``, the a = 0 reductions, keep the
+      scan: ``_lou_cleared`` on the 2001-point grid in one numpy pass, then
+      a bisection of the leftmost bracket.  They are the closed-form check
+      independent of the predicate, behind ``verify-limits``'
+      ``neumann_vs_lou_gap``.
+
+    Raises ValueError for an unknown kind, a ``lou_*`` kind at ``a != 0``,
+    or a window without a root; the last message starts with ``no root``.
     """
-    from .eigensolver import SpectralWindow, bisect, bracket_scan, spectral_window
+    from .eigensolver import Bracket, SpectralWindow, bisect, bracket_scan, spectral_window
 
     if kind not in LIMIT_KINDS:
         raise ValueError(f"unknown limit kind {kind!r}")
@@ -183,10 +254,24 @@ def limit_root(kind: str, a: float, c: float, kappa: float) -> float:
         # allow the trig piece a half period instead of a quarter
         w = SpectralWindow(w.lambda_min, (1.0 - 1e-9) * math.pi ** 2 / (c * c * kappa))
 
-    def residual(lam, xp=math):
-        return _limit_cleared(kind, a, c, kappa, lam, xp)
+    if kind.startswith("lou_"):
+        def residual(lam, xp=math):
+            return _lou_cleared(kind, c, kappa, lam, xp)
 
-    bracket = bracket_scan(lambda lam: residual(lam, np), w, _LIMIT_N_LAMBDA)
-    if bracket is None:
-        raise ValueError(f"no root of {kind} limit equation found in the window")
-    return bisect(residual, bracket, _LIMIT_TOL)
+        bracket = bracket_scan(lambda lam: residual(lam, np), w, _LIMIT_N_LAMBDA)
+        if bracket is None:
+            raise ValueError(f"no root of {kind} limit equation found in the window")
+        return bisect(residual, bracket, _LIMIT_TOL)
+
+    if kind == "neumann" and kappa * c >= 1.0 - c:
+        raise ValueError(f"no root of {kind} limit equation: "
+                         "no positive principal eigenvalue (kappa c >= 1 - c)")
+
+    def predicate(lam: float) -> float:
+        return _limit_predicate(kind, a, c, kappa, lam)
+
+    r_max = predicate(w.lambda_max)
+    if r_max > 0.0:
+        raise ValueError(f"no root of {kind} limit equation: "
+                         f"root above the window cap {w.lambda_max:.6g}")
+    return bisect(predicate, Bracket(0.0, w.lambda_max, 1.0, r_max), _LIMIT_TOL)

@@ -5,9 +5,10 @@ positive exactly below the principal eigenvalue (see ``principal_eigenvalue``),
 so its sign is a monotone predicate.  The solver evaluates it once at the
 window cap, refuses if it is still positive there, and otherwise bisects the
 whole window.  A curve bisects all its placements in lockstep, one array
-residual per step.  ``bracket_scan`` (one array evaluation of a residual on
-a uniform grid) and ``bisect`` serve the oracles and the limit-equation
-roots.
+residual per step.  ``bisect`` also finds the limit-equation roots, on a
+zero-count predicate for the ``neumann`` and ``dirichlet`` kinds and from a
+``bracket_scan`` (one array evaluation of a residual on a uniform grid) for
+the ``lou_*`` reductions; the scan serves the oracles too.
 """
 
 from __future__ import annotations

@@ -16,16 +16,25 @@ from theory import (
     limit_root_loop,
 )
 
+import robineig.characteristic
+import robineig.eigensolver
 from robineig.characteristic import (
     _LIMIT_TOL,
     LIMIT_KINDS,
+    _limit_predicate,
     beta0_star_bound,
     c_star,
     char_f,
     hypothesis_bounds,
     limit_root,
 )
-from robineig.eigensolver import bisect, bracket_scan, principal_eigenvalue, spectral_window
+from robineig.eigensolver import (
+    SpectralWindow,
+    bisect,
+    bracket_scan,
+    principal_eigenvalue,
+    spectral_window,
+)
 from robineig.model import Params, SolverConfig
 
 
@@ -291,12 +300,52 @@ class TestLimitEquations:
             0.7239691990975208, abs=1e-9
         )
 
+    @pytest.mark.parametrize("a", [0.0, 0.35])
+    def test_predicate_roots_take_no_scan_and_a_bounded_number_of_calls(self, monkeypatch, a):
+        scans, calls = [], []
+
+        def counted_scan(*args):
+            scans.append(args)
+            return bracket_scan(*args)
+
+        def counted_predicate(*args):
+            calls.append(args)
+            return _limit_predicate(*args)
+
+        monkeypatch.setattr(robineig.eigensolver, "bracket_scan", counted_scan)
+        monkeypatch.setattr(robineig.characteristic, "_limit_predicate", counted_predicate)
+        for kind in ("neumann", "dirichlet"):
+            scans.clear()
+            calls.clear()
+            limit_root(kind, a, 0.3, 2.0)
+            assert not scans, kind
+            assert 0 < len(calls) <= 50, (kind, len(calls))
+        if a == 0.0:
+            for kind in ("lou_neumann", "lou_dirichlet"):
+                scans.clear()
+                calls.clear()
+                limit_root(kind, a, 0.3, 2.0)
+                assert len(scans) == 1 and not calls, kind
+
+    def test_dirichlet_predicate_at_a_zero_is_the_reduced_form(self):
+        # alpha = atan2(1, 0) = pi/2 exactly, so the predicate is 1 + sqrt(kappa)
+        # cot(om c) tanh(sq (1-c)), and sin(om c) times it is the lou_dirichlet form
+        c, kappa = 0.3, 2.0
+        for lam in np.linspace(0.5, 0.999 * math.pi ** 2 / (c * c * kappa), 40):
+            om_c = math.sqrt(lam * kappa) * c
+            want = math.sin(om_c) + math.sqrt(kappa) * math.tanh(math.sqrt(lam) * (1.0 - c)) \
+                * math.cos(om_c)
+            got = math.sin(om_c) * _limit_predicate("dirichlet", 0.0, c, kappa, float(lam))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15), lam
+
 
 # the limits workload's box, and a wide one; s places a in [0, 1-c]
 _LIMITS_BOX = dict(c=st.floats(0.15, 0.3), log_kappa=st.floats(0.0, math.log(2.0)),
                    s=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
 _WIDE_BOX = dict(c=st.floats(0.01, 0.95), log_kappa=st.floats(math.log(0.01), math.log(20.0)),
                  s=st.one_of(st.just(0.0), st.floats(0.0, 1.0)))
+# c down to 0.001, where the window reaches lambda = 2.5e8
+_TINY_C_BOX = dict(_WIDE_BOX, c=st.floats(0.001, 0.01))
 
 
 def _roots_or_none(a, c, kappa):
@@ -334,6 +383,41 @@ def test_limit_roots_match_the_scalar_scan_on_the_limits_box(c, log_kappa, s):
 @given(**_WIDE_BOX)
 def test_limit_roots_match_the_scalar_scan_on_the_wide_box(c, log_kappa, s):
     _assert_roots_match_the_scalar_scan(c, log_kappa, s)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(**_TINY_C_BOX)
+def test_limit_roots_match_the_scalar_scan_on_the_tiny_c_box(c, log_kappa, s):
+    _assert_roots_match_the_scalar_scan(c, log_kappa, s)
+
+
+def _assert_predicate_changes_sign_once(c, log_kappa, s):
+    # 257 window points: positive up to the principal root, non-positive after,
+    # with no numpy or math warning and no OverflowError
+    a, kappa = s * (1.0 - c), math.exp(log_kappa)
+    w = spectral_window(c, kappa)
+    windows = {"neumann": w,
+               "dirichlet": SpectralWindow(w.lambda_min,
+                                           (1.0 - 1e-9) * math.pi ** 2 / (c * c * kappa))}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, win in windows.items():
+            lams = np.linspace(win.lambda_min, win.lambda_max, 257)
+            positive = [_limit_predicate(kind, a, c, kappa, float(lam)) > 0.0 for lam in lams]
+            changes = sum(p != q for p, q in zip(positive, positive[1:]))
+            assert changes == 0 or (changes == 1 and positive[0]), (kind, positive)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(**_WIDE_BOX)
+def test_limit_predicate_changes_sign_once_on_the_wide_box(c, log_kappa, s):
+    _assert_predicate_changes_sign_once(c, log_kappa, s)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(**_TINY_C_BOX)
+def test_limit_predicate_changes_sign_once_on_the_tiny_c_box(c, log_kappa, s):
+    _assert_predicate_changes_sign_once(c, log_kappa, s)
 
 
 @settings(max_examples=500, derandomize=True, deadline=None)

@@ -257,3 +257,15 @@ class TestVerifyLimits:
             l for l in out.splitlines() if l.startswith("neumann_vs_lou_gap:")
         ).split()[1])
         assert gap < 1e-10
+
+    @pytest.mark.parametrize("args, reason", [
+        (("--c", "0.5", "--kappa", "2", "--a", "0.1"),
+         "no positive principal eigenvalue (kappa c >= 1 - c)"),
+        (("--c", "0.7", "--kappa", "0.1", "--a", "0.2"), "root above the window cap 50.3551"),
+    ])
+    def test_neumann_refusals_say_why(self, capsys, args, reason):
+        code = main(["verify-limits", *args])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: no root of neumann limit equation: {reason}\n"

@@ -6,9 +6,10 @@ of the Neumann/Dirichlet limit equations.  ``robineig.characteristic`` keeps
 what its commands run: ``char_f``, the hypothesis report and the
 pole-free ``limit_root``.
 
-It also keeps the scalar oracles of the array code: ``scan_loop`` (the
-point-by-point bracket scan), ``limit_root_loop`` (``limit_root`` on that
-scan), ``h_max_loop`` (h sampled one lambda at a time) and
+It also keeps the scalar oracles of the array and predicate code:
+``scan_loop`` (the point-by-point bracket scan), ``limit_root_loop`` (every
+limit root from that scan of the denominator-cleared ``limit_cleared``),
+``h_max_loop`` (h sampled one lambda at a time) and
 ``profile_oracle`` (the sampled profile as one three-piece ``propagate``).
 """
 
@@ -18,7 +19,7 @@ import math
 
 import numpy as np
 
-from robineig.characteristic import _LIMIT_N_LAMBDA, _LIMIT_TOL, LIMIT_KINDS, _limit_cleared
+from robineig.characteristic import _LIMIT_N_LAMBDA, _LIMIT_TOL, LIMIT_KINDS, _lou_cleared
 from robineig.eigensolver import Bracket, SpectralWindow, bisect, spectral_window
 from robineig.model import Params, check_placement
 from robineig.propagator import propagate
@@ -100,6 +101,27 @@ def limit_char_residual(kind: str, a: float, c: float, kappa: float, lam: float)
     return lhs - num / den
 
 
+def limit_cleared(kind: str, a: float, c: float, kappa: float, lam: float) -> float:
+    """Denominator-cleared form of the limit equations, every kind.
+
+    Continuous in lambda (no tan/tanh poles) and sharing the roots of the
+    rational forms.  The ``neumann`` and ``dirichlet`` forms live only here,
+    as the scanned oracle of ``limit_root``'s zero-count predicate; the
+    ``lou_*`` forms are the package's ``_lou_cleared``.
+    """
+    if kind.startswith("lou_"):
+        return _lou_cleared(kind, c, kappa, lam)
+    sq = math.sqrt(lam)
+    rk = math.sqrt(kappa)
+    theta = sq * rk * c
+    sn, cs = math.sin(theta), math.cos(theta)
+    ta = math.tanh(sq * a)
+    lhs = math.tanh(sq * (1.0 - a - c))
+    if kind == "neumann":
+        return lhs * (cs + ta * sn / rk) - (rk * sn - ta * cs)
+    return lhs * (rk * ta * sn - cs) - (sn / rk + ta * cs)
+
+
 def scan_loop(residual, w: SpectralWindow, n_lambda: int) -> Bracket | None:
     """Scalar bracket scan: walk the grid ``lambda_min + j * step`` one
     point at a time and return the first exact zero (as a width-0 bracket)
@@ -120,14 +142,15 @@ def scan_loop(residual, w: SpectralWindow, n_lambda: int) -> Bracket | None:
 
 
 def limit_root_loop(kind: str, a: float, c: float, kappa: float) -> float | None:
-    """``limit_root`` with the scalar scan and the scalar residual; None
-    where the window holds no root."""
+    """The limit root from the scalar scan of ``limit_cleared`` and a
+    bisection of its leftmost bracket, every kind; None where the window
+    holds no root."""
     w = spectral_window(c, kappa)
     if "dirichlet" in kind:
         w = SpectralWindow(w.lambda_min, (1.0 - 1e-9) * math.pi ** 2 / (c * c * kappa))
 
     def residual(lam: float) -> float:
-        return _limit_cleared(kind, a, c, kappa, lam)
+        return limit_cleared(kind, a, c, kappa, lam)
 
     bracket = scan_loop(residual, w, _LIMIT_N_LAMBDA)
     return None if bracket is None else bisect(residual, bracket, _LIMIT_TOL)
