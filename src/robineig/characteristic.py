@@ -238,7 +238,13 @@ def limit_root(kind: str, a: float, c: float, kappa: float) -> float:
       scan: ``_lou_cleared`` on the 2001-point grid in one numpy pass, then
       a bisection of the leftmost bracket.  They are the closed-form check
       independent of the predicate, behind ``verify-limits``'
-      ``neumann_vs_lou_gap``.
+      ``neumann_vs_lou_gap``.  The scan starts at the window minimum, so
+      one call there first compares the form's sign with its sign next to
+      0, the closed-form limit of the form over sqrt(lambda) (``kappa c -
+      (1 - c)`` and ``sqrt(kappa)``); if they differ, a root lies below
+      the scan and ``(0, lambda_min]`` is bisected instead.  A limit of
+      exactly 0 (``kappa c = 1 - c``) is the trivial root at 0 and is not
+      taken.
 
     Raises ValueError for an unknown kind, a ``lou_*`` kind at ``a != 0``,
     or a window without a root; the last message starts with ``no root``.
@@ -258,6 +264,11 @@ def limit_root(kind: str, a: float, c: float, kappa: float) -> float:
         def residual(lam, xp=math):
             return _lou_cleared(kind, c, kappa, lam, xp)
 
+        # the sign of the form next to 0, from its limit divided by sqrt(lam)
+        near_zero = kappa * c - (1.0 - c) if kind == "lou_neumann" else math.sqrt(kappa)
+        r_min = residual(w.lambda_min)
+        if r_min > 0.0 > near_zero or near_zero > 0.0 > r_min:
+            return bisect(residual, Bracket(0.0, w.lambda_min, near_zero, r_min), _LIMIT_TOL)
         bracket = bracket_scan(lambda lam: residual(lam, np), w, _LIMIT_N_LAMBDA)
         if bracket is None:
             raise ValueError(f"no root of {kind} limit equation found in the window")

@@ -5,10 +5,12 @@ positive exactly below the principal eigenvalue (see ``principal_eigenvalue``),
 so its sign is a monotone predicate.  The solver evaluates it once at the
 window cap, refuses if it is still positive there, and otherwise bisects the
 whole window.  A curve bisects all its placements in lockstep, one array
-residual per step.  ``bisect`` also finds the limit-equation roots, on a
-zero-count predicate for the ``neumann`` and ``dirichlet`` kinds and from a
-``bracket_scan`` (one array evaluation of a residual on a uniform grid) for
-the ``lou_*`` reductions; the scan serves the oracles too.
+residual per step, and checks the positivity of all its lanes with one
+array pass per piece of the eigenfunction (``_positive_lanes``), sample for
+sample the float solve's check.  ``bisect`` also finds the limit-equation
+roots, on a zero-count predicate for the ``neumann`` and ``dirichlet`` kinds
+and from a ``bracket_scan`` (one array evaluation of a residual on a uniform
+grid) for the ``lou_*`` reductions; the scan serves the oracles too.
 """
 
 from __future__ import annotations
@@ -20,10 +22,13 @@ import numpy as np
 
 from .characteristic import char_f
 from .model import Params, SolverConfig, check_placement, validate_params
-from .propagator import eigenfunction_profile, shooting_residual
+from .propagator import _hyperbolic, _trig, eigenfunction_profile, shooting_residual
 
 _POSITIVITY_XS = np.linspace(0.0, 1.0, 1001)  # built once, not per positivity check
 _POSITIVITY_XS.flags.writeable = False
+# lanes per array pass of _positive_lanes: about 8000 samples, so its
+# temporaries stay small
+_LANES_PER_PASS = 8
 # below this upper end the bisection splits the bracket at its geometric mean
 _GEOMETRIC_BELOW = 1e-6
 
@@ -138,6 +143,71 @@ def eigenfunction_positive(a: float, p: Params, lam: float) -> bool:
     return bool((u > 0.0).all())
 
 
+def _positive_lanes(a: np.ndarray, p: Params, lam: np.ndarray) -> np.ndarray:
+    """``eigenfunction_positive(a[j], p, lam[j])`` for every lane j: u > 0 on
+    all of ``_POSITIVITY_XS``, a NaN counting as a failure.
+
+    Every sample value is ``eigenfunction_profile``'s, bit for bit: the same
+    piece bounds, the same blocks ``_hyperbolic`` and ``_trig`` on the same
+    lengths, and start states at a and a + c from the same blocks on the
+    lane arrays.  Each piece takes one flattened pass over the samples of
+    ``_LANES_PER_PASS`` lanes instead of one call per lane.  A lane at
+    lambda = 0 or past overflow reads NaN or inf and raises no warning.
+    """
+    xs, n, c = _POSITIVITY_XS, _POSITIVITY_XS.size, p.c
+    ok = np.ones(a.shape, dtype=bool)
+    with np.errstate(all="ignore"):
+        sq, om = np.sqrt(lam), np.sqrt(lam * p.kappa)
+        ua, dua = _hyperbolic(1.0, p.beta0, sq, a)
+        ub, dub = _trig(ua, dua, om, c)
+        i0, i1 = _piece_bounds(a, c)
+        rep = np.repeat  # a lane's value, once per sample of its piece
+        for j in range(0, a.size, _LANES_PER_PASS):
+            s = slice(j, j + _LANES_PER_PASS)
+            count, k = _ragged(0, i0[s])
+            u, _ = _hyperbolic(1.0, p.beta0, rep(sq[s], count), xs[k])
+            ok[s] &= _runs_positive(u, count)
+            count, k = _ragged(i0[s], i1[s])
+            u, _ = _trig(rep(ua[s], count), rep(dua[s], count), rep(om[s], count),
+                         xs[k] - rep(a[s], count))
+            ok[s] &= _runs_positive(u, count)
+            count, k = _ragged(i1[s], n)
+            u, _ = _hyperbolic(rep(ub[s], count), rep(dub[s], count), rep(sq[s], count),
+                               xs[k] - rep(a[s], count) - c)
+            ok[s] &= _runs_positive(u, count)
+    return ok
+
+
+def _piece_bounds(a: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per lane, ``eigenfunction_profile``'s piece bounds on
+    ``_POSITIVITY_XS``: the numbers of samples with ``x - a <= 0`` and with
+    ``x - a <= c``.  The first test is exactly ``x <= a``.  The second can
+    differ from ``x <= a + c`` at the one sample that ``a + c`` rounds
+    across, so that sample is tested as the profile tests it."""
+    xs, n = _POSITIVITY_XS, _POSITIVITY_XS.size
+    i1 = np.searchsorted(xs, a + c, side="right")  # >= 1: xs[0] = 0 <= a + c
+    i1 -= xs[i1 - 1] - a > c
+    i1 += (i1 < n) & (xs[np.minimum(i1, n - 1)] - a <= c)
+    return np.searchsorted(xs, a, side="right"), i1
+
+
+def _ragged(start: np.ndarray | int, stop: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
+    """The lengths of the index ranges ``start[j]:stop[j]``, and the ranges
+    concatenated."""
+    count = stop - start
+    ends = np.cumsum(count)
+    return count, np.arange(ends[-1]) + np.repeat(start - (ends - count), count)
+
+
+def _runs_positive(u: np.ndarray, count: np.ndarray) -> np.ndarray | bool:
+    """Per run of ``count[j]`` consecutive entries of u, whether all are > 0."""
+    good = u > 0.0
+    if good.all():
+        return True
+    lane = np.repeat(np.arange(count.size), count)
+    return np.bincount(lane[~good], minlength=count.size) == 0
+
+
 def principal_eigenvalue(a: float | np.ndarray, p: Params, cfg: SolverConfig) -> EigenResult:
     """Principal eigenvalue lambda1 for placement a, by bisecting the sign of
     the shooting residual r over the whole window ``(0, lambda_max]``.
@@ -203,9 +273,14 @@ def _above_cap(a: float, p: Params, w: SpectralWindow) -> SolverError:
     )
 
 
-def _certify(a: float, p: Params, lo: float, hi: float, tol: float) -> float:
+def _certify(a: float, p: Params, lo: float, hi: float, tol: float,
+             positive: bool | None = None) -> float:
     """Refuse a final bracket ``[lo, hi]`` that is not a certified lambda1;
-    otherwise return the scaled ``char_f`` residual at its midpoint."""
+    otherwise return the scaled ``char_f`` residual at its midpoint.
+
+    ``positive`` is the positivity verdict at ``lo`` when the caller already
+    has it (the lanes); a float solve computes it here, after the two checks
+    that refuse ``lo = 0``."""
     if lo == 0.0:
         raise SolverError(
             f"lambda1 not resolved from 0: the residual is not positive down to "
@@ -216,7 +291,9 @@ def _certify(a: float, p: Params, lo: float, hi: float, tol: float) -> float:
             f"bracket [{lo:.6g}, {hi:.6g}] not narrowed to width {tol * min(1.0, lo):.3g}: "
             f"float resolution exhausted (a={a}, p={p})"
         )
-    if not eigenfunction_positive(a, p, lo):
+    if positive is None:
+        positive = eigenfunction_positive(a, p, lo)
+    if not positive:
         raise SolverError(f"eigenfunction not positive at lambda={lo:.12g} (a={a}, p={p})")
     return char_f_residual(a, p, 0.5 * (lo + hi))
 
@@ -229,8 +306,13 @@ def _lockstep(a: np.ndarray, p: Params, cfg: SolverConfig) -> EigenResult:
     steps (the same split points, width and sign rule) with one array
     residual per step, and freezes when its width is reached or float
     resolution is exhausted; a frozen lane's residual is not read, so its
-    overflow raises nothing.  Each lane is then certified as a float solve
-    is.  ``iterations`` counts the lockstep steps.
+    overflow raises nothing.  The geometric split is computed only on a step
+    where some lane's upper end is at or below ``_GEOMETRIC_BELOW``.  Each
+    lane is then certified as a float solve is, by ``_certify`` in lane
+    order, with the positivity verdicts of all lanes from one
+    ``_positive_lanes`` call: the same samples and values as the float
+    solve's ``eigenfunction_positive``, without a call per lane.
+    ``iterations`` counts the lockstep steps.
 
     A lane's bracket is the float solve's as long as every step sees the
     same residual sign.  numpy's and math's transcendentals may differ in
@@ -260,8 +342,10 @@ def _lockstep(a: np.ndarray, p: Params, cfg: SolverConfig) -> EigenResult:
         r_lo = np.full(a.shape, p.beta0 + p.beta1 + p.beta0 * p.beta1)
         iters = 0
         while True:
-            mid = np.where(hi > _GEOMETRIC_BELOW, 0.5 * (lo + hi),
-                           np.sqrt(np.maximum(lo, 5e-324)) * np.sqrt(hi))
+            mid = 0.5 * (lo + hi)
+            geometric = hi <= _GEOMETRIC_BELOW
+            if geometric.any():
+                mid = np.where(geometric, np.sqrt(np.maximum(lo, 5e-324)) * np.sqrt(hi), mid)
             active = (hi - lo > tol * np.minimum(1.0, lo)) & (mid > lo) & (mid < hi)
             if not active.any():
                 break
@@ -275,8 +359,9 @@ def _lockstep(a: np.ndarray, p: Params, cfg: SolverConfig) -> EigenResult:
             down = active & ~up
             lo, r_lo = np.where(up, mid, lo), np.where(up, r_mid, r_lo)
             hi, r_hi = np.where(down, mid, hi), np.where(down, r_mid, r_hi)
-    residuals = np.array([_certify(aj, p, lj, hj, tol)
-                          for aj, lj, hj in zip(a.tolist(), lo.tolist(), hi.tolist())])
+    positive = _positive_lanes(a, p, lo).tolist()
+    residuals = np.array([_certify(aj, p, lj, hj, tol, ok) for aj, lj, hj, ok
+                          in zip(a.tolist(), lo.tolist(), hi.tolist(), positive)])
     return EigenResult(0.5 * (lo + hi), Bracket(lo, hi, r_lo, r_hi), iters, residuals, True)
 
 

@@ -6,8 +6,9 @@ the trigonometric block on the favourable piece (m = kappa > 0), the
 hyperbolic one where m = -1.  ``propagate`` carries a state across all three
 pieces for the shooting residual, on one lambda or on arrays of lanes.  The
 sampled profile applies each block only on the samples of its own piece,
-through ``_hyperbolic`` and ``_trig``; ``propagate`` keeps the blocks inline,
-because a call per block would slow the scalar residual by a third.
+through ``_hyperbolic`` and ``_trig``, and so does the eigensolver's lane
+positivity check; ``propagate`` keeps the blocks inline, because a call per
+block would slow the scalar residual by a third.
 """
 
 from __future__ import annotations
@@ -55,13 +56,13 @@ def shooting_residual(a, p: Params, lam):
 
 
 def _hyperbolic(u, du, sq, s):
-    """``propagate``'s block of weight -1 over the lengths s, for the profile."""
+    """``propagate``'s block of weight -1 over the lengths s, for the samples."""
     ch, sh = np.cosh(sq * s), np.sinh(sq * s)
     return u * ch + du * sh / sq, u * (sq * sh) + du * ch
 
 
 def _trig(u, du, om, s):
-    """``propagate``'s block of weight kappa over the lengths s, for the profile."""
+    """``propagate``'s block of weight kappa over the lengths s, for the samples."""
     cs, sn = np.cos(om * s), np.sin(om * s)
     return u * cs + du * sn / om, du * cs - u * (om * sn)
 

@@ -248,6 +248,12 @@ class TestLimitEquations:
             lam = limit_root(kind, a, 0.3, 2.0)
             assert abs(limit_char_residual(kind, a, 0.3, 2.0, lam)) < 1e-8
 
+    def test_balanced_lou_neumann_keeps_no_root(self):
+        # at kappa c = 1 - c the form over sqrt(lambda) tends to 0: the root
+        # at 0 is trivial, so no bisection below the scan is taken
+        with pytest.raises(ValueError, match="no root of lou_neumann"):
+            limit_root("lou_neumann", 0.0, 0.5, 1.0)
+
     def test_lou_kinds_require_a_zero(self):
         with pytest.raises(ValueError, match="requires a = 0"):
             limit_char_residual("lou_neumann", 0.1, 0.3, 2.0, 1.0)

@@ -4,7 +4,7 @@ import pytest
 
 import robineig.cli
 from robineig.cli import main
-from robineig.eigensolver import SolverError
+from robineig.eigensolver import SolverError, spectral_window
 
 # lambda1 = 4211.23, with an eigenfunction that decays towards x = 1
 DECAYING_ARGS = ("--c", "0.0230080130735918", "--kappa", "1.0637183352308162",
@@ -257,6 +257,18 @@ class TestVerifyLimits:
             l for l in out.splitlines() if l.startswith("neumann_vs_lou_gap:")
         ).split()[1])
         assert gap < 1e-10
+
+    @pytest.mark.parametrize("kappa", ["0.999999", "0.99999999"])
+    def test_lou_neumann_finds_a_root_below_its_scan(self, capsys, kappa):
+        # kappa c just below 1 - c puts the root under the scan start
+        # 1e-6 * cap (about 4.9e-6 here)
+        code = main(["verify-limits", "--c", "0.5", "--kappa", kappa, "--a", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        roots = dict(line.split(": ") for line in out.splitlines())
+        neu, lou = float(roots["neumann_root"]), float(roots["lou_neumann_root"])
+        assert neu < 1e-6 * spectral_window(0.5, float(kappa)).lambda_max
+        assert abs(lou - neu) <= 1e-12 * max(1.0, neu)
 
     @pytest.mark.parametrize("args, reason", [
         (("--c", "0.5", "--kappa", "2", "--a", "0.1"),

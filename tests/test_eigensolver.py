@@ -13,11 +13,14 @@ from theory import scan_loop
 import robineig.eigensolver
 from robineig.characteristic import char_f
 from robineig.eigensolver import (
+    _POSITIVITY_XS,
     Bracket,
     EigenResult,
     SolverError,
     SpectralWindow,
     _energy_and_mass,
+    _piece_bounds,
+    _positive_lanes,
     _sin2_integral,
     a_grid,
     bisect,
@@ -329,6 +332,23 @@ class TestLambdaCurve:
                                    SolverConfig())
         assert len(calls) == res.iterations + 1 <= 45
 
+    def test_only_the_float_solve_samples_the_profile(self, monkeypatch, p_default,
+                                                      cfg_default):
+        # the float solve checks positivity on one 1001-sample profile; a
+        # curve's lanes take _positive_lanes and never call the profile
+        calls = []
+
+        def counted(a, p, lam, xs):
+            calls.append(len(xs))
+            return eigenfunction_profile(a, p, lam, xs)
+
+        monkeypatch.setattr(robineig.eigensolver, "eigenfunction_profile", counted)
+        principal_eigenvalue(0.2, p_default, cfg_default)
+        assert calls == [1001]
+        calls.clear()
+        lambda_curve(p_default, cfg_default)
+        assert calls == []
+
     @pytest.mark.parametrize("a, p", [
         (0.0, Params(0.3, 2.0, 4.0, 4.0)),
         (0.35, Params(0.3, 2.0, 4.0, 4.0)),
@@ -371,6 +391,89 @@ class TestLambdaCurve:
             assert lanes == points, (b0, b1)
             refused += lanes is None
         assert 0 < refused < 100
+
+
+def _lane_verdicts(a: np.ndarray, p: Params, lam: np.ndarray) -> list[bool]:
+    """``_positive_lanes``' verdicts, asserted equal to the float check's lane
+    by lane, with the profile's piece bounds and no numpy warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _positive_lanes(a, p, lam).tolist()
+        bounds = np.transpose(_piece_bounds(a, p.c))
+    with np.errstate(all="ignore"):  # the float check warns at lambda = 0 and past overflow
+        want = [eigenfunction_positive(aj, p, lj) for aj, lj in zip(a.tolist(), lam.tolist())]
+    assert got == want, p
+    profile = [np.searchsorted(_POSITIVITY_XS - aj, (0.0, p.c), side="right")
+               for aj in a.tolist()]
+    assert np.array_equal(bounds, profile), p
+    return got
+
+
+class TestPositiveLanes:
+    def test_default_curve_samples_are_the_profile_bit_for_bit(self, monkeypatch, p_default,
+                                                               cfg_default):
+        a = np.array(a_grid(0.3, 81))
+        lo = principal_eigenvalue(a, p_default, cfg_default).bracket.lo
+        assert all(_lane_verdicts(a, p_default, lo))
+        runs = []
+        runs_positive = robineig.eigensolver._runs_positive
+
+        def recorded(u, count):
+            runs.append(np.split(u, np.cumsum(count)[:-1]))
+            return runs_positive(u, count)
+
+        monkeypatch.setattr(robineig.eigensolver, "_runs_positive", recorded)
+        _positive_lanes(a, p_default, lo)
+        # each pass records its lanes' left, favourable and right pieces in turn
+        rows = [np.concatenate(pieces)
+                for passes in zip(*[iter(runs)] * 3) for pieces in zip(*passes)]
+        assert len(rows) == 81
+        for aj, lj, row in zip(a.tolist(), lo.tolist(), rows):
+            u, _ = eigenfunction_profile(aj, p_default, lj, _POSITIVITY_XS)
+            assert row.tobytes() == u.tobytes(), aj
+
+    @pytest.mark.parametrize("c_range, log_kappa_range", [
+        ((0.01, 0.9), (math.log(0.01), math.log(20.0))),  # the wide box
+        ((0.001, 0.05), (math.log(0.01), math.log(2.0))),  # the overflow box
+    ])
+    def test_verdicts_equal_the_float_check_on_seeded_curves(self, c_range, log_kappa_range):
+        rng = np.random.default_rng(20261019)
+        verdicts = []
+        for _ in range(150):
+            c = rng.uniform(*c_range)
+            kappa = math.exp(rng.uniform(*log_kappa_range))
+            b0, b1 = (0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-4.0, 3.0)
+                      for _ in "01")
+            p = Params(c, kappa, b0, b1)
+            a = np.array(a_grid(c, 9))
+            cap = spectral_window(c, kappa).lambda_max
+            verdicts += _lane_verdicts(a, p, cap * 10.0 ** rng.uniform(-6.0, 0.0, a.size))
+            try:
+                lo = principal_eigenvalue(a, p, FAST).bracket.lo
+            except (SolverError, ValueError):
+                continue
+            verdicts += _lane_verdicts(a, p, lo)
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    def test_lanes_at_lambda_zero_fail_without_a_warning(self, p_default):
+        a = np.array(a_grid(0.3, 81))
+        assert not any(_lane_verdicts(a, p_default, np.zeros(a.size)))
+
+    @pytest.mark.parametrize("c", [0.001, 0.011, 0.3, 0.7])
+    def test_placements_on_the_sample_grid(self, c):
+        # x - a <= c is not x <= a + c in floats: at c = 0.001 (a = 0.008)
+        # the sample at a + c fails x - a <= c, at c = 0.7 some sample just
+        # past a + c passes it, so the bounds' correction goes both ways
+        on_grid = _POSITIVITY_XS[_POSITIVITY_XS <= 1.0 - c]
+        a = np.concatenate([on_grid, np.arange(on_grid.size) / 1000.0])
+        a = a[a <= 1.0 - c]
+        p = Params(c, 2.0, 1.0, 1.0)
+        cap = spectral_window(c, 2.0).lambda_max
+        lam = cap * np.random.default_rng(7).uniform(0.0, 1.0, a.size)
+        _lane_verdicts(a, p, lam)
+        naive = np.searchsorted(_POSITIVITY_XS, a + c, side="right")
+        _, i1 = _piece_bounds(a, c)
+        assert (naive > i1).any() if c < 0.5 else (naive < i1).any()
 
 
 def _curve_or_none(p: Params, cfg: SolverConfig):
