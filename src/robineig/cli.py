@@ -155,7 +155,7 @@ def cmd_verify_limits(args) -> None:
         lou_d = limit_root("lou_dirichlet", 0.0, args.c, args.kappa)
         print(f"lou_neumann_root: {lou_n:.12g}")
         print(f"lou_dirichlet_root: {lou_d:.12g}")
-        print(f"neumann_vs_lou_gap: {abs(neu - lou_n):.3g}")
+        print(f"neumann_vs_lou_gap: {abs(neu - lou_n) / neu:.3g}")
 
 
 _COMMANDS = {

@@ -5,12 +5,13 @@ positive exactly below the principal eigenvalue (see ``principal_eigenvalue``),
 so its sign is a monotone predicate.  The solver evaluates it once at the
 window cap, refuses if it is still positive there, and otherwise bisects the
 whole window.  A curve bisects all its placements in lockstep, one array
-residual per step, and checks the positivity of all its lanes with one
-array pass per piece of the eigenfunction (``_positive_lanes``), sample for
-sample the float solve's check.  ``bisect`` also finds the limit-equation
-roots, on a zero-count predicate for the ``neumann`` and ``dirichlet`` kinds
-and from a ``bracket_scan`` (one array evaluation of a residual on a uniform
-grid) for the ``lou_*`` reductions; the scan serves the oracles too.
+residual per step, and checks its lanes' positivity on the right piece
+alone, the one piece where the eigenfunction can change sign
+(``_positive_lanes``), with the float solve's verdicts.  ``bisect`` also
+finds the limit-equation roots, on a zero-count predicate for the
+``neumann`` and ``dirichlet`` kinds and from a ``bracket_scan`` (one array
+evaluation of a residual on a uniform grid) for the ``lou_*`` reductions;
+the scan serves the oracles too.
 """
 
 from __future__ import annotations
@@ -144,68 +145,33 @@ def eigenfunction_positive(a: float, p: Params, lam: float) -> bool:
 
 
 def _positive_lanes(a: np.ndarray, p: Params, lam: np.ndarray) -> np.ndarray:
-    """``eigenfunction_positive(a[j], p, lam[j])`` for every lane j: u > 0 on
-    all of ``_POSITIVITY_XS``, a NaN counting as a failure.
+    """``eigenfunction_positive(a[j], p, lam[j])`` for each lane j, from the
+    right-piece samples only (``d > c``, the profile's own test): the lane
+    passes when ``lam[j] > 0`` and u > 0 at each of them, NaN failing.
 
-    Every sample value is ``eigenfunction_profile``'s, bit for bit: the same
-    piece bounds, the same blocks ``_hyperbolic`` and ``_trig`` on the same
-    lengths, and start states at a and a + c from the same blocks on the
-    lane arrays.  Each piece takes one flattened pass over the samples of
-    ``_LANES_PER_PASS`` lanes instead of one call per lane.  A lane at
-    lambda = 0 or past overflow reads NaN or inf and raises no warning.
+    The other samples cannot fail.  A lane reaches the check with ``lo > 0``
+    and a finite residual there (``_lockstep`` raises on a non-finite one),
+    so ``sinh(sq a)`` is finite; a lane at ``lo = 0`` reads False, and
+    ``_certify`` refuses it first.  A left sample is ``cosh(sq x) + beta0
+    sinh(sq x) / sq >= 1``.  A favourable one is ``ua cos(om s) + dua
+    sin(om s) / om`` with ``ua >= 1``, ``dua >= 0`` and ``0 < om s <= om c <
+    pi/2`` (the window cap), so at least ``ua cos(om c) > 0``.  A right one
+    is ``_hyperbolic(ub, dub, sq, (x - a) - c)`` on the profile's doubles,
+    bit for bit.  Off ``_lockstep``'s path, past overflow with ``beta0 = 0``,
+    ``ua`` is NaN and so is every favourable sample: such a lane fails here
+    too, right piece or not.  Each pass takes ``_LANES_PER_PASS`` lanes.
     """
-    xs, n, c = _POSITIVITY_XS, _POSITIVITY_XS.size, p.c
-    ok = np.ones(a.shape, dtype=bool)
     with np.errstate(all="ignore"):
         sq, om = np.sqrt(lam), np.sqrt(lam * p.kappa)
         ua, dua = _hyperbolic(1.0, p.beta0, sq, a)
-        ub, dub = _trig(ua, dua, om, c)
-        i0, i1 = _piece_bounds(a, c)
-        rep = np.repeat  # a lane's value, once per sample of its piece
+        ub, dub = _trig(ua, dua, om, p.c)
+        ok = (lam > 0.0) & ~np.isnan(ua)
         for j in range(0, a.size, _LANES_PER_PASS):
             s = slice(j, j + _LANES_PER_PASS)
-            count, k = _ragged(0, i0[s])
-            u, _ = _hyperbolic(1.0, p.beta0, rep(sq[s], count), xs[k])
-            ok[s] &= _runs_positive(u, count)
-            count, k = _ragged(i0[s], i1[s])
-            u, _ = _trig(rep(ua[s], count), rep(dua[s], count), rep(om[s], count),
-                         xs[k] - rep(a[s], count))
-            ok[s] &= _runs_positive(u, count)
-            count, k = _ragged(i1[s], n)
-            u, _ = _hyperbolic(rep(ub[s], count), rep(dub[s], count), rep(sq[s], count),
-                               xs[k] - rep(a[s], count) - c)
-            ok[s] &= _runs_positive(u, count)
+            d = _POSITIVITY_XS - a[s, None]
+            u, _ = _hyperbolic(ub[s, None], dub[s, None], sq[s, None], d - p.c)
+            ok[s] &= ((u > 0.0) | (d <= p.c)).all(axis=1)
     return ok
-
-
-def _piece_bounds(a: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per lane, ``eigenfunction_profile``'s piece bounds on
-    ``_POSITIVITY_XS``: the numbers of samples with ``x - a <= 0`` and with
-    ``x - a <= c``.  The first test is exactly ``x <= a``.  The second can
-    differ from ``x <= a + c`` at the one sample that ``a + c`` rounds
-    across, so that sample is tested as the profile tests it."""
-    xs, n = _POSITIVITY_XS, _POSITIVITY_XS.size
-    i1 = np.searchsorted(xs, a + c, side="right")  # >= 1: xs[0] = 0 <= a + c
-    i1 -= xs[i1 - 1] - a > c
-    i1 += (i1 < n) & (xs[np.minimum(i1, n - 1)] - a <= c)
-    return np.searchsorted(xs, a, side="right"), i1
-
-
-def _ragged(start: np.ndarray | int, stop: np.ndarray | int) -> tuple[np.ndarray, np.ndarray]:
-    """The lengths of the index ranges ``start[j]:stop[j]``, and the ranges
-    concatenated."""
-    count = stop - start
-    ends = np.cumsum(count)
-    return count, np.arange(ends[-1]) + np.repeat(start - (ends - count), count)
-
-
-def _runs_positive(u: np.ndarray, count: np.ndarray) -> np.ndarray | bool:
-    """Per run of ``count[j]`` consecutive entries of u, whether all are > 0."""
-    good = u > 0.0
-    if good.all():
-        return True
-    lane = np.repeat(np.arange(count.size), count)
-    return np.bincount(lane[~good], minlength=count.size) == 0
 
 
 def principal_eigenvalue(a: float | np.ndarray, p: Params, cfg: SolverConfig) -> EigenResult:
@@ -310,8 +276,8 @@ def _lockstep(a: np.ndarray, p: Params, cfg: SolverConfig) -> EigenResult:
     where some lane's upper end is at or below ``_GEOMETRIC_BELOW``.  Each
     lane is then certified as a float solve is, by ``_certify`` in lane
     order, with the positivity verdicts of all lanes from one
-    ``_positive_lanes`` call: the same samples and values as the float
-    solve's ``eigenfunction_positive``, without a call per lane.
+    ``_positive_lanes`` call: the float solve's ``eigenfunction_positive``
+    verdicts, read from its right-piece samples alone.
     ``iterations`` counts the lockstep steps.
 
     A lane's bracket is the float solve's as long as every step sees the

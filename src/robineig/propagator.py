@@ -6,9 +6,11 @@ the trigonometric block on the favourable piece (m = kappa > 0), the
 hyperbolic one where m = -1.  ``propagate`` carries a state across all three
 pieces for the shooting residual, on one lambda or on arrays of lanes.  The
 sampled profile applies each block only on the samples of its own piece,
-through ``_hyperbolic`` and ``_trig``, and so does the eigensolver's lane
-positivity check; ``propagate`` keeps the blocks inline, because a call per
-block would slow the scalar residual by a third.
+through ``_hyperbolic`` and ``_trig``.  The eigensolver's lane positivity
+check takes the same blocks for the start states and samples the right
+piece only, the one piece where the shot solution can change sign.
+``propagate`` keeps the blocks inline, because a call per block would slow
+the scalar residual by a third.
 """
 
 from __future__ import annotations

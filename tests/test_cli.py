@@ -270,6 +270,16 @@ class TestVerifyLimits:
         assert neu < 1e-6 * spectral_window(0.5, float(kappa)).lambda_max
         assert abs(lou - neu) <= 1e-12 * max(1.0, neu)
 
+    def test_gap_is_relative_to_the_root(self, capsys):
+        # both roots are about 6e-8, so an absolute gap would read 8e-16
+        code = main(["verify-limits", "--c", "0.5", "--kappa", "0.99999999", "--a", "0"])
+        out = capsys.readouterr().out
+        assert code == 0
+        roots = dict(line.split(": ") for line in out.splitlines())
+        neu, lou = float(roots["neumann_root"]), float(roots["lou_neumann_root"])
+        gap = float(roots["neumann_vs_lou_gap"])
+        assert gap == pytest.approx(abs(neu - lou) / neu, rel=0.01)
+
     @pytest.mark.parametrize("args, reason", [
         (("--c", "0.5", "--kappa", "2", "--a", "0.1"),
          "no positive principal eigenvalue (kappa c >= 1 - c)"),

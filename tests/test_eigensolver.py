@@ -19,7 +19,6 @@ from robineig.eigensolver import (
     SolverError,
     SpectralWindow,
     _energy_and_mass,
-    _piece_bounds,
     _positive_lanes,
     _sin2_integral,
     a_grid,
@@ -335,7 +334,8 @@ class TestLambdaCurve:
     def test_only_the_float_solve_samples_the_profile(self, monkeypatch, p_default,
                                                       cfg_default):
         # the float solve checks positivity on one 1001-sample profile; a
-        # curve's lanes take _positive_lanes and never call the profile
+        # curve's lanes take _positive_lanes, which evaluates the right
+        # piece's samples itself and never calls the profile
         calls = []
 
         def counted(a, p, lam, xs):
@@ -395,17 +395,13 @@ class TestLambdaCurve:
 
 def _lane_verdicts(a: np.ndarray, p: Params, lam: np.ndarray) -> list[bool]:
     """``_positive_lanes``' verdicts, asserted equal to the float check's lane
-    by lane, with the profile's piece bounds and no numpy warning."""
+    by lane, with no numpy warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _positive_lanes(a, p, lam).tolist()
-        bounds = np.transpose(_piece_bounds(a, p.c))
     with np.errstate(all="ignore"):  # the float check warns at lambda = 0 and past overflow
         want = [eigenfunction_positive(aj, p, lj) for aj, lj in zip(a.tolist(), lam.tolist())]
     assert got == want, p
-    profile = [np.searchsorted(_POSITIVITY_XS - aj, (0.0, p.c), side="right")
-               for aj in a.tolist()]
-    assert np.array_equal(bounds, profile), p
     return got
 
 
@@ -415,26 +411,28 @@ class TestPositiveLanes:
         a = np.array(a_grid(0.3, 81))
         lo = principal_eigenvalue(a, p_default, cfg_default).bracket.lo
         assert all(_lane_verdicts(a, p_default, lo))
-        runs = []
-        runs_positive = robineig.eigensolver._runs_positive
+        grids = []
+        hyperbolic = robineig.eigensolver._hyperbolic
 
-        def recorded(u, count):
-            runs.append(np.split(u, np.cumsum(count)[:-1]))
-            return runs_positive(u, count)
+        def recorded(u, du, sq, s):
+            out = hyperbolic(u, du, sq, s)
+            if np.ndim(s) == 2:  # a pass over its lanes' sample grid
+                grids.append(out[0])
+            return out
 
-        monkeypatch.setattr(robineig.eigensolver, "_runs_positive", recorded)
+        monkeypatch.setattr(robineig.eigensolver, "_hyperbolic", recorded)
         _positive_lanes(a, p_default, lo)
-        # each pass records its lanes' left, favourable and right pieces in turn
-        rows = [np.concatenate(pieces)
-                for passes in zip(*[iter(runs)] * 3) for pieces in zip(*passes)]
-        assert len(rows) == 81
+        rows = np.concatenate(grids)
+        assert rows.shape == (81, _POSITIVITY_XS.size)
         for aj, lj, row in zip(a.tolist(), lo.tolist(), rows):
             u, _ = eigenfunction_profile(aj, p_default, lj, _POSITIVITY_XS)
-            assert row.tobytes() == u.tobytes(), aj
+            right = _POSITIVITY_XS - aj > p_default.c  # the profile's right piece
+            assert row[right].tobytes() == u[right].tobytes(), aj
 
     @pytest.mark.parametrize("c_range, log_kappa_range", [
         ((0.01, 0.9), (math.log(0.01), math.log(20.0))),  # the wide box
         ((0.001, 0.05), (math.log(0.01), math.log(2.0))),  # the overflow box
+        ((0.0003, 0.003), (math.log(0.01), math.log(20.0))),  # the tiny-c box
     ])
     def test_verdicts_equal_the_float_check_on_seeded_curves(self, c_range, log_kappa_range):
         rng = np.random.default_rng(20261019)
@@ -459,11 +457,23 @@ class TestPositiveLanes:
         a = np.array(a_grid(0.3, 81))
         assert not any(_lane_verdicts(a, p_default, np.zeros(a.size)))
 
+    def test_overflowing_lanes_fail_without_a_right_piece(self):
+        # with beta0 = 0 past overflow, ua = cosh(sq a) + 0 * sinh(sq a) / sq
+        # is NaN, and so is every favourable sample, while at a = 1 - c the
+        # right piece can hold no sample at all
+        empty = 0
+        for c in np.linspace(0.0003, 0.0015, 40).tolist():
+            a = np.array([1.0 - c])
+            lam = np.array([0.9 * spectral_window(c, 1.0).lambda_max])
+            assert _lane_verdicts(a, Params(c, 1.0, 0.0, 1.0), lam) == [False]
+            empty += not (_POSITIVITY_XS - a[0] > c).any()
+        assert empty > 0
+
     @pytest.mark.parametrize("c", [0.001, 0.011, 0.3, 0.7])
     def test_placements_on_the_sample_grid(self, c):
         # x - a <= c is not x <= a + c in floats: at c = 0.001 (a = 0.008)
         # the sample at a + c fails x - a <= c, at c = 0.7 some sample just
-        # past a + c passes it, so the bounds' correction goes both ways
+        # past a + c passes it, so the lanes must take the profile's test
         on_grid = _POSITIVITY_XS[_POSITIVITY_XS <= 1.0 - c]
         a = np.concatenate([on_grid, np.arange(on_grid.size) / 1000.0])
         a = a[a <= 1.0 - c]
@@ -472,7 +482,7 @@ class TestPositiveLanes:
         lam = cap * np.random.default_rng(7).uniform(0.0, 1.0, a.size)
         _lane_verdicts(a, p, lam)
         naive = np.searchsorted(_POSITIVITY_XS, a + c, side="right")
-        _, i1 = _piece_bounds(a, c)
+        i1 = (_POSITIVITY_XS - a[:, None] <= c).sum(1)
         assert (naive > i1).any() if c < 0.5 else (naive < i1).any()
 
 
@@ -731,6 +741,22 @@ def test_every_accepted_wide_box_solve_is_certified(c, log_kappa, beta0, beta1, 
     a, p, res = _wide_solve(c, log_kappa, beta0, beta1, s)
     if res is not None:
         assert rayleigh_check(a, p, res) <= 1e-6
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None)
+@example(**_DECAYING)
+@given(**_WIDE_BOX)
+def test_only_the_right_piece_can_fail_positivity_at_an_accepted_solve(c, log_kappa, beta0,
+                                                                       beta1, s):
+    # the premise of _positive_lanes, on the profile's own piece tests: at
+    # bracket.lo the left samples are >= 1 and the favourable ones > 0
+    a, p, res = _wide_solve(c, log_kappa, beta0, beta1, s)
+    if res is None:
+        return
+    u, _ = eigenfunction_profile(a, p, res.bracket.lo, _POSITIVITY_XS)
+    d = _POSITIVITY_XS - a
+    assert (u[d <= 0.0] >= 1.0).all()
+    assert (u[(d > 0.0) & (d <= c)] > 0.0).all()
 
 
 @settings(max_examples=1000, derandomize=True, deadline=None)
