@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Params
+from .model import Params, check_instance, check_placement
 
 LIMIT_KINDS = ("neumann", "dirichlet", "lou_neumann", "lou_dirichlet")
 # the lou_* scan resolution and limit_root's bisection width
@@ -246,7 +246,15 @@ def limit_root(kind: str, a: float, c: float, kappa: float) -> float:
       exactly 0 (``kappa c = 1 - c``) is the trivial root at 0 and is not
       taken.
 
+    At a = 0, ``lou_neumann = -cos(theta)`` times the ``neumann`` predicate
+    and ``lou_dirichlet = sin(theta)`` times the ``dirichlet`` one, theta = c
+    sqrt(kappa lambda) (to 3e-12 relative on 2,000 random draws): so
+    ``neumann_vs_lou_gap`` checks two searches of one equation, the scan
+    against the predicate bisection, and cannot see the cancellation both
+    forms share near ``kappa c = 1 - c``.
+
     Raises ValueError for an unknown kind, a ``lou_*`` kind at ``a != 0``,
+    an invalid c or kappa (as ``validate_params``) or a (``check_placement``),
     or a window without a root; the last message starts with ``no root``.
     """
     from .eigensolver import Bracket, SpectralWindow, bisect, bracket_scan, spectral_window
@@ -255,6 +263,8 @@ def limit_root(kind: str, a: float, c: float, kappa: float) -> float:
         raise ValueError(f"unknown limit kind {kind!r}")
     if kind.startswith("lou_") and a != 0.0:
         raise ValueError(f"{kind} requires a = 0")
+    check_instance(c, kappa)
+    check_placement(a, c)
     w = spectral_window(c, kappa)
     if "dirichlet" in kind:
         # allow the trig piece a half period instead of a quarter

@@ -112,9 +112,7 @@ def numeric_argmin(curve: list[tuple[float, float]]) -> tuple[float, float, int]
     return curve[j][0], curve[j][1], j
 
 
-def compare_prediction(
-    pred: Prediction, numeric_index: int, n_a: int, c: float
-) -> tuple[bool | None, str]:
+def compare_prediction(pred: Prediction, numeric_index: int, n_a: int) -> tuple[bool | None, str]:
     """Match the predicted minimiser location against the measured argmin.
 
     The numeric label is derived from the argmin index only.  ``either``

@@ -23,7 +23,12 @@ from .eigensolver import (
     spectral_window,
 )
 from .harness import emit_figures, run_sweep, write_csv, write_curve_data
-from .model import Params, SolverConfig, load_sweep_config, validate_params, validate_solver_config
+from .model import (CONFIG_KEYS, Params, SolverConfig, check_instance, load_pairs,
+                    load_sweep_config, validate_params, validate_solver_config)
+
+# the sweep flags not named "--" + key with "_" as "-", and their help
+_SWEEP_FLAGS = {"out_csv": ("--out", "output CSV path"),
+                "fig_dir": ("--figdir", "figure output directory")}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,13 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--config", type=str, default=None, help="flat key=value config file")
     sp.add_argument("--pairs-file", type=str, default=None,
                     help="explicit 'beta0 beta1' pairs, one per line")
-    sp.add_argument("--out", type=str, default=None, help="output CSV path")
-    sp.add_argument("--figdir", type=str, default=None, help="figure output directory")
     sp.add_argument("--workers", type=int, default=1)
-    for name, typ in (("--c", float), ("--kappa", float), ("--beta-min", float),
-                      ("--beta-max", float), ("--n-beta", int), ("--n-a", int),
-                      ("--tol", float)):
-        sp.add_argument(name, type=typ, default=None)
+    for key, typ in CONFIG_KEYS.items():
+        flag, help_ = _SWEEP_FLAGS.get(key, ("--" + key.replace("_", "-"), None))
+        sp.add_argument(flag, dest=key, type=typ, default=None, help=help_)
 
     sp = sub.add_parser("check-hypotheses", help="theorem hypothesis status")
     _add_instance_args(sp, with_betas=False)
@@ -115,22 +117,8 @@ def cmd_curve(args) -> None:
 
 
 def cmd_sweep(args) -> None:
-    overrides = {
-        "c": args.c, "kappa": args.kappa,
-        "beta_min": args.beta_min, "beta_max": args.beta_max, "n_beta": args.n_beta,
-        "n_a": args.n_a, "tol": args.tol,
-        "out_csv": args.out, "fig_dir": args.figdir,
-    }
-    cfg = load_sweep_config(args.config, overrides)
-    pairs = None
-    if args.pairs_file:
-        pairs = []
-        for line in Path(args.pairs_file).read_text().splitlines():
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            b0, b1 = line.split()
-            pairs.append((float(b0), float(b1)))
+    cfg = load_sweep_config(args.config, {key: getattr(args, key) for key in CONFIG_KEYS})
+    pairs = load_pairs(args.pairs_file) if args.pairs_file else None
     rows, curves = run_sweep(cfg, pairs=pairs, workers=args.workers)
     write_csv(rows, cfg.out_csv)
     written = emit_figures(rows, curves, cfg.fig_dir)
@@ -138,7 +126,8 @@ def cmd_sweep(args) -> None:
 
 
 def cmd_check_hypotheses(args) -> None:
-    p = validate_params(Params(args.c, args.kappa, args.beta0, 0.0))
+    check_instance(args.c, args.kappa, args.beta0)
+    p = Params(args.c, args.kappa, args.beta0, 0.0)  # hypothesis_bounds reads no beta1
     w = spectral_window(args.c, args.kappa)
     report = hypothesis_bounds(p, (w.lambda_min, w.lambda_max))
     for line in report.lines():

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import classifier
@@ -21,29 +21,30 @@ from .model import Params, SweepConfig, validate_params, validate_sweep_config
 
 log = logging.getLogger(__name__)
 
-CSV_HEADER = (
-    "c,kappa,beta0,beta1,regime,subcase,predicted,numeric,comparison,"
-    "argmin_a,lambda_min,hypothesis_ok,a_star_diag"
-)
-
 Curve = list[tuple[float, float]]
 
 
 @dataclass(frozen=True)
 class SweepRow:
-    c: float
-    kappa: float
-    beta0: float
-    beta1: float
+    """One CSV row, a column per field, each formatted by its ``fmt`` spec."""
+
+    c: float = field(metadata={"fmt": ".3f"})
+    kappa: float = field(metadata={"fmt": ".3f"})
+    beta0: float = field(metadata={"fmt": ".2f"})
+    beta1: float = field(metadata={"fmt": ".2f"})
     regime: str
-    subcase: str | None
-    predicted: str | None
-    numeric: str | None
-    comparison: bool | None
-    argmin_a: float | None
-    lambda_min: float | None
-    hypothesis_ok: bool | None
-    a_star_diag: float | None
+    subcase: str | None = None
+    predicted: str | None = None
+    numeric: str | None = None
+    comparison: bool | None = None
+    argmin_a: float | None = field(default=None, metadata={"fmt": ".3f"})
+    lambda_min: float | None = field(default=None, metadata={"fmt": ".6g"})
+    hypothesis_ok: bool | None = None
+    a_star_diag: float | None = field(default=None, metadata={"fmt": ".6g"})
+
+
+_COLUMNS = [(f.name, f.metadata.get("fmt", "")) for f in fields(SweepRow)]
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 
 def beta_grid(cfg: SweepConfig) -> list[float]:
@@ -66,13 +67,11 @@ def _compute_pair(args: tuple[float, float, SweepConfig]) -> tuple[SweepRow, Cur
         curve = lambda_curve(p, cfg.solver)
     except (SolverError, ValueError) as exc:
         log.warning("pair (%.4g, %.4g) failed: %s", beta0, beta1, exc)
-        row = SweepRow(cfg.c, cfg.kappa, beta0, beta1, "error",
-                       None, None, None, None, None, None, None, None)
-        return row, None
+        return SweepRow(cfg.c, cfg.kappa, beta0, beta1, "error"), None
 
     label, pred = classify_pair(p, curve)
     a_min, lam_min, j = numeric_argmin(curve)
-    match, numeric = compare_prediction(pred, j, cfg.solver.n_a, cfg.c)
+    match, numeric = compare_prediction(pred, j, cfg.solver.n_a)
     if match is None:
         numeric = None  # unclassified rows carry no protocol columns
     w = spectral_window(cfg.c, cfg.kappa)
@@ -110,30 +109,14 @@ def run_sweep(
     return rows, curves
 
 
-def _fmt_bool(v: bool | None) -> str:
-    return "" if v is None else str(bool(v)).lower()
-
-
-def _fmt_opt(v: float | None, spec: str) -> str:
-    return "" if v is None else format(v, spec)
+def _cell(v, spec: str) -> str:
+    if v is None:
+        return ""
+    return str(v).lower() if isinstance(v, bool) else format(v, spec)
 
 
 def format_row(row: SweepRow) -> str:
-    return ",".join([
-        f"{row.c:.3f}",
-        f"{row.kappa:.3f}",
-        f"{row.beta0:.2f}",
-        f"{row.beta1:.2f}",
-        row.regime,
-        row.subcase or "",
-        row.predicted or "",
-        row.numeric or "",
-        _fmt_bool(row.comparison),
-        _fmt_opt(row.argmin_a, ".3f"),
-        _fmt_opt(row.lambda_min, ".6g"),
-        _fmt_bool(row.hypothesis_ok),
-        _fmt_opt(row.a_star_diag, ".6g"),
-    ])
+    return ",".join([_cell(getattr(row, name), spec) for name, spec in _COLUMNS])
 
 
 def write_csv(rows: list[SweepRow], path: str | Path) -> None:

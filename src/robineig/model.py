@@ -9,7 +9,7 @@ are immutable values; downstream modules assume validated inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 
@@ -46,6 +46,23 @@ class SweepConfig:
     fig_dir: str = "figures"
 
 
+def check_instance(c: float, kappa: float, *betas: float) -> None:
+    """Check that c, kappa and the Robin parameters given (beta0, then
+    beta1) are finite, c is in (0, 1), kappa > 0 and each beta >= 0; raise
+    ValueError naming the bad value."""
+    if 0.0 < c < 1.0 and 0.0 < kappa < math.inf and all(0.0 <= b < math.inf for b in betas):
+        return  # valid: one comparison chain; the checks below name the bad value
+    for name, v in zip(("c", "kappa", "beta0", "beta1"), (c, kappa, *betas)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite: {v}")
+    if not (0.0 < c < 1.0):
+        raise ValueError(f"c out of range (0,1): {c}")
+    if not kappa > 0.0:
+        raise ValueError(f"kappa must be positive: {kappa}")
+    if min(betas, default=0.0) < 0.0:
+        raise ValueError(f"Robin parameters must be >= 0: {', '.join(map(str, betas))}")
+
+
 def validate_params(p: Params) -> Params:
     """Check the instance invariants and return ``p`` unchanged.
 
@@ -53,15 +70,7 @@ def validate_params(p: Params) -> Params:
     pure-Neumann pair (both betas zero) is rejected because the positive
     principal eigenvalue is then not guaranteed to exist.
     """
-    for name in ("c", "kappa", "beta0", "beta1"):
-        if not math.isfinite(getattr(p, name)):
-            raise ValueError(f"{name} must be finite: {getattr(p, name)}")
-    if not (0.0 < p.c < 1.0):
-        raise ValueError(f"c out of range (0,1): {p.c}")
-    if not p.kappa > 0.0:
-        raise ValueError(f"kappa must be positive: {p.kappa}")
-    if p.beta0 < 0.0 or p.beta1 < 0.0:
-        raise ValueError(f"Robin parameters must be >= 0: {p.beta0}, {p.beta1}")
+    check_instance(p.c, p.kappa, p.beta0, p.beta1)
     if p.beta0 == 0.0 and p.beta1 == 0.0:
         raise ValueError("Neumann pair rejected: beta0 = beta1 = 0")
     return p
@@ -97,42 +106,52 @@ def validate_sweep_config(cfg: SweepConfig) -> SweepConfig:
     return cfg
 
 
-# keys accepted in a flat key=value configuration file
-_FLOAT_KEYS = {"beta_min", "beta_max", "c", "kappa", "tol"}
-_INT_KEYS = {"n_beta", "n_a"}
-_STR_KEYS = {"out_csv", "fig_dir"}
+_TYPES = {"float": float, "int": int, "str": str}
+# the sweep's config-file keys and flags, typed: every config field but solver
+CONFIG_KEYS = {f.name: _TYPES[f.type] for cls in (SweepConfig, SolverConfig)
+               for f in fields(cls) if f.name != "solver"}
+
+
+def _data_lines(path: str | Path) -> list[tuple[int, str, str]]:
+    """(line number, raw line, content) per line not blank once its ``#`` comment is cut."""
+    return [(lineno, raw, line)
+            for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1)
+            if (line := raw.split("#", 1)[0].strip())]
 
 
 def load_sweep_config(path: str | Path, overrides: dict | None = None) -> SweepConfig:
     """Build a SweepConfig from a flat key=value file plus overrides.
 
-    Lines are ``key = value``; blank lines and ``#`` comments are ignored.
-    ``overrides`` (e.g. parsed CLI flags, None values skipped) win over file
-    values, which win over defaults.
+    Lines are ``key = value`` with a key of ``CONFIG_KEYS``; blank lines and
+    ``#`` comments are ignored.  ``overrides`` (e.g. parsed CLI flags, None
+    values skipped) win over file values, which win over defaults.
     """
     values: dict = {}
     if path is not None:
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+        for lineno, raw, line in _data_lines(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key in _FLOAT_KEYS:
-                values[key] = float(val)
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key in _STR_KEYS:
-                values[key] = val
-            else:
+            if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = CONFIG_KEYS[key](val)
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val
 
-    solver_keys = ("tol", "n_a")
-    solver_kwargs = {k: values.pop(k) for k in solver_keys if k in values}
-    cfg = SweepConfig(solver=SolverConfig(**solver_kwargs), **values)
-    return validate_sweep_config(cfg)
+    solver = SolverConfig(**{f.name: values.pop(f.name)
+                             for f in fields(SolverConfig) if f.name in values})
+    return validate_sweep_config(SweepConfig(solver=solver, **values))
+
+
+def load_pairs(path: str | Path) -> list[tuple[float, float]]:
+    """The ``beta0 beta1`` lines of a pairs file, with the config file's comment rule."""
+    pairs = []
+    for lineno, _, line in _data_lines(path):
+        try:
+            b0, b1 = line.split()
+            pairs.append((float(b0), float(b1)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return pairs

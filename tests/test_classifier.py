@@ -171,27 +171,27 @@ class TestNumericArgmin:
 
 class TestComparePrediction:
     def test_exact_label_matches(self):
-        assert compare_prediction(Prediction(LOC_RIGHT), 80, 81, 0.3) == (True, "right")
-        assert compare_prediction(Prediction(LOC_LEFT), 0, 81, 0.3) == (True, "left")
-        assert compare_prediction(Prediction(LOC_LEFT), 80, 81, 0.3) == (False, "right")
+        assert compare_prediction(Prediction(LOC_RIGHT), 80, 81) == (True, "right")
+        assert compare_prediction(Prediction(LOC_LEFT), 0, 81) == (True, "left")
+        assert compare_prediction(Prediction(LOC_LEFT), 80, 81) == (False, "right")
 
     def test_interior(self):
-        assert compare_prediction(Prediction(LOC_INTERIOR, 0.35), 40, 81, 0.3) == (True, "interior")
-        assert compare_prediction(Prediction(LOC_INTERIOR, 0.35), 0, 81, 0.3) == (False, "left")
+        assert compare_prediction(Prediction(LOC_INTERIOR, 0.35), 40, 81) == (True, "interior")
+        assert compare_prediction(Prediction(LOC_INTERIOR, 0.35), 0, 81) == (False, "left")
 
     def test_either_matches_both_endpoints(self):
-        assert compare_prediction(Prediction(LOC_EITHER), 0, 81, 0.3) == (True, "left")
-        assert compare_prediction(Prediction(LOC_EITHER), 80, 81, 0.3) == (True, "right")
-        assert compare_prediction(Prediction(LOC_EITHER), 13, 81, 0.3) == (False, "interior")
+        assert compare_prediction(Prediction(LOC_EITHER), 0, 81) == (True, "left")
+        assert compare_prediction(Prediction(LOC_EITHER), 80, 81) == (True, "right")
+        assert compare_prediction(Prediction(LOC_EITHER), 13, 81) == (False, "interior")
 
     def test_no_prediction_returns_none(self):
-        match, numeric = compare_prediction(Prediction(None), 5, 81, 0.3)
+        match, numeric = compare_prediction(Prediction(None), 5, 81)
         assert match is None
         assert numeric == "interior"
 
     def test_total_over_all_combinations(self):
         for loc in (LOC_LEFT, LOC_RIGHT, LOC_INTERIOR, LOC_EITHER):
             for idx in (0, 1, 80):
-                match, numeric = compare_prediction(Prediction(loc), idx, 81, 0.3)
+                match, numeric = compare_prediction(Prediction(loc), idx, 81)
                 assert isinstance(match, bool)
                 assert numeric in ("left", "right", "interior")

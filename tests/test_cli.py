@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import pytest
@@ -5,11 +6,14 @@ import pytest
 import robineig.cli
 from robineig.cli import main
 from robineig.eigensolver import SolverError, spectral_window
+from robineig.model import SolverConfig, SweepConfig, load_sweep_config
 
 # lambda1 = 4211.23, with an eigenfunction that decays towards x = 1
 DECAYING_ARGS = ("--c", "0.0230080130735918", "--kappa", "1.0637183352308162",
                  "--beta0", "0.7688863376502032", "--beta1", "2.4459398491955393",
                  "--a", "0.2724338980859347")
+CONFIG_FIELDS = [(cls, f) for cls in (SweepConfig, SolverConfig)
+                 for f in dataclasses.fields(cls) if f.name != "solver"]
 
 
 class TestSolve:
@@ -212,6 +216,50 @@ class TestSweep:
         code = main(["sweep", "--config", str(cfg)])
         assert code == 1
 
+    @pytest.mark.parametrize("line, message", [
+        ("1 2 3", "too many values to unpack (expected 2)"),
+        ("0.6", "not enough values to unpack (expected 2, got 1)"),
+        ("abc 1", "could not convert string to float: 'abc'"),
+    ])
+    def test_bad_pairs_line_names_file_and_line(self, tmp_path, monkeypatch, capsys,
+                                                line, message):
+        monkeypatch.chdir(tmp_path)
+        pairs = tmp_path / "pairs.txt"
+        pairs.write_text(f"# beta0 beta1\n0.6 0.6\n\n{line}  # bad\n")
+        code = main(["sweep", "--pairs-file", str(pairs), "--n-a", "3"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {pairs}:4: {message}\n"
+
+    # every field of both configs but the nested solver, with a valid value
+    # of its annotated type for the file and another for the flag
+    @pytest.mark.parametrize("owner, field", CONFIG_FIELDS,
+                             ids=[f.name for _, f in CONFIG_FIELDS])
+    def test_config_field_is_a_file_key_and_a_flag_that_wins(self, tmp_path, monkeypatch,
+                                                             owner, field):
+        typ = {"float": float, "int": int, "str": str}[field.type]
+        file_value, flag_value = {float: ("0.25", "0.35"), int: ("3", "4"),
+                                  str: ("from-file", "from-flag")}[typ]
+
+        def value(cfg):
+            return getattr(cfg.solver if owner is SolverConfig else cfg, field.name)
+
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text(f"{field.name} = {file_value}\n")
+        got = value(load_sweep_config(cfg_path))
+        assert type(got) is typ and got == typ(file_value)
+
+        seen = []
+        monkeypatch.setattr(robineig.cli, "run_sweep",
+                            lambda cfg, pairs, workers: seen.append(cfg) or ([], []))
+        monkeypatch.chdir(tmp_path)
+        flag = {"out_csv": "--out", "fig_dir": "--figdir"}.get(
+            field.name, "--" + field.name.replace("_", "-"))
+        assert main(["sweep", "--config", str(cfg_path), flag, flag_value]) == 0
+        got = value(seen[0])
+        assert type(got) is typ and got == typ(flag_value)
+
 
 class TestCheckHypotheses:
     def test_report_lines(self, capsys):
@@ -221,6 +269,15 @@ class TestCheckHypotheses:
         assert "c_star: 0.386" in out
         assert "beta0_star_bound: not applicable" in out
         assert "c_ok: false" in out
+
+    def test_beta0_zero_is_a_valid_robin_parameter(self, capsys):
+        code = main(["check-hypotheses", "--c", "0.3", "--kappa", "2", "--beta0", "0"])
+        captured = capsys.readouterr()
+        assert code == 0
+        lines = captured.out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "c_star", "beta0_star_bound", "c_ok", "beta0_ok", "h_max"]
+        assert "beta0_ok: false" in lines
 
     @pytest.mark.parametrize("kappa, bound, h_max", [
         ("0.01", "beta0_star_bound: 317.333", "h_max: -4.14937e+08"),
@@ -291,3 +348,19 @@ class TestVerifyLimits:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: no root of neumann limit equation: {reason}\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (("--c", "0.3", "--kappa", "2", "--a", "5"), "placement a=5.0 outside [0, 0.7]"),
+        (("--c", "0.3", "--kappa", "2", "--a", "-0.1"), "placement a=-0.1 outside [0, 0.7]"),
+        (("--c", "0.3", "--kappa", "2", "--a", "0.75"), "placement a=0.75 outside [0, 0.7]"),
+        (("--c", "0", "--kappa", "2", "--a", "0"), "c out of range (0,1): 0.0"),
+        (("--c", "0.3", "--kappa", "0", "--a", "0.1"), "kappa must be positive: 0.0"),
+        (("--c", "0.3", "--kappa", "-2", "--a", "0.1"), "kappa must be positive: -2.0"),
+        (("--c", "0.3", "--kappa", "nan", "--a", "0.1"), "kappa must be finite: nan"),
+    ])
+    def test_invalid_instance_exit_1(self, capsys, args, message):
+        code = main(["verify-limits", *args])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"

@@ -98,6 +98,15 @@ class TestCsv:
             "0.300,2.000,8.00,0.20,b0b1>lambda,b0>>b1,right,right,true,"
             "0.700,2.34568,false,"
         )
+        error = SweepRow(0.3, 2.0, 8.0, 0.2, "error", None, None, None, None, None, None, None,
+                         None)
+        assert format_row(error) == "0.300,2.000,8.00,0.20,error,,,,,,,,"
+        interior = SweepRow(0.3, 2.0, 11 / 3, 5.4, "b0b1>lambda", "|b0-b1| small", "interior",
+                            "interior", True, 0.2625, 8.969312345, False, 0.26283912345)
+        assert format_row(interior) == (
+            "0.300,2.000,3.67,5.40,b0b1>lambda,|b0-b1| small,interior,interior,true,"
+            "0.263,8.96931,false,0.262839"
+        )
 
     def test_unclassified_row_empty_fields(self):
         row = SweepRow(0.3, 2.0, 1.0, 1.0, "b0b1<lambda", "unclassified", None,
@@ -109,6 +118,8 @@ class TestCsv:
         path = tmp_path / "out.csv"
         write_csv([], path)
         assert path.read_text() == CSV_HEADER + "\n"
+        assert CSV_HEADER == ("c,kappa,beta0,beta1,regime,subcase,predicted,numeric,comparison,"
+                              "argmin_a,lambda_min,hypothesis_ok,a_star_diag")
 
     def test_write_and_reread(self, tmp_path):
         cfg = fast_cfg()
