@@ -52,15 +52,16 @@ def char_f(a: float, p: Params, lam: float) -> float:
     )
 
 
-def c_star(kappa: float) -> float:
-    """Least admissible interval fraction for kappa > 1."""
+def c_star(kappa: float) -> float | None:
+    """Least admissible interval fraction, or None for kappa <= 1, where
+    every c is admissible."""
     if kappa <= 1.0:
-        raise ValueError("c_star is defined for kappa > 1 only")
+        return None
     rk = math.sqrt(kappa)
     return 1.0 / (1.0 + (2.0 * rk / math.pi) * math.log((rk + 1.0) / (rk - 1.0)))
 
 
-def beta0_star_bound(c: float, kappa: float) -> float:
+def beta0_star_bound(c: float, kappa: float) -> float | None:
     """Uniform (a- and lambda-independent) upper bound on beta0_star, the
     zero in beta0 of the beta1-derivative of char_f.
 
@@ -69,14 +70,14 @@ def beta0_star_bound(c: float, kappa: float) -> float:
     divided through by ``cosh t``, with ``sech t = 2 e^{-t} / (1 + e^{-2t})``,
     so a large t (small c) does not overflow.
 
-    Raises ValueError when the denominator is not positive, i.e. outside the
-    certified c-range.
+    None when the denominator is not positive, i.e. outside the certified
+    c-range.
     """
     t = math.pi * (1.0 - c) / (2.0 * c * math.sqrt(kappa))
     e = math.exp(-t)
     den = (kappa + 1.0) * (2.0 * e / (1.0 + e * e)) - (kappa - 1.0)
     if den <= 0.0:
-        raise ValueError("bound not applicable: denominator non-positive")
+        return None
     return (math.sqrt(kappa) * math.pi / c) * math.tanh(t) / den
 
 
@@ -119,22 +120,13 @@ def hypothesis_bounds(p: Params, lambda_window: tuple[float, float]) -> Hypothes
     as ``e^z [(kappa-1) sin theta (1 + e^{-2z}) - 2 sqrt(kappa) cos theta
     (1 - e^{-2z})] / (2 (kappa+1) sin theta)``, so only the factor ``e^z``
     can overflow: an h beyond the double range reads as a signed infinity,
-    never NaN, and h_max is finite or ``+inf`` on a spectral window.
+    so h_max is finite or ``+-inf`` on a spectral window (``-inf`` when h
+    is below the double range at every sample, as at kappa = 1e-300).
     """
     lo, hi = lambda_window
-    if p.kappa > 1.0:
-        cs = c_star(p.kappa)
-        c_ok = p.c > cs
-    else:
-        cs = None
-        c_ok = True
-    bound: float | None
-    try:
-        bound = beta0_star_bound(p.c, p.kappa)
-    except ValueError:
-        bound = None
-    if not c_ok:
-        bound = None
+    cs = c_star(p.kappa)
+    c_ok = cs is None or p.c > cs
+    bound = beta0_star_bound(p.c, p.kappa) if c_ok else None
     beta0_ok = bound is not None and p.beta0 > bound
     k = p.kappa
     lam = lo + (hi - lo) * np.arange(_H_SAMPLES) / (_H_SAMPLES - 1)

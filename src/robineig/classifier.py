@@ -112,23 +112,24 @@ def numeric_argmin(curve: list[tuple[float, float]]) -> tuple[float, float, int]
     return curve[j][0], curve[j][1], j
 
 
-def compare_prediction(pred: Prediction, numeric_index: int, n_a: int) -> tuple[bool | None, str]:
+def compare_prediction(pred: Prediction, numeric_index: int,
+                       n_a: int) -> tuple[bool | None, str | None]:
     """Match the predicted minimiser location against the measured argmin.
 
     The numeric label is derived from the argmin index only.  ``either``
     matches both endpoints; ``interior`` requires interiority but not
     closeness to the analytic candidate (that stricter check is a separate
-    diagnostic).  Returns (match, numeric_label); match is None when there
-    is no prediction.
+    diagnostic).  Returns (match, numeric_label), or (None, None) when there
+    is no prediction: an unclassified row carries no protocol columns.
     """
+    if pred.location is None:
+        return None, None
     if numeric_index == 0:
         numeric = LOC_LEFT
     elif numeric_index == n_a - 1:
         numeric = LOC_RIGHT
     else:
         numeric = LOC_INTERIOR
-    if pred.location is None:
-        return None, numeric
     if pred.location == LOC_EITHER:
         return numeric in (LOC_LEFT, LOC_RIGHT), numeric
     return pred.location == numeric, numeric

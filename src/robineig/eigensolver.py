@@ -68,9 +68,13 @@ class EigenResult:
 
 
 def spectral_window(c: float, kappa: float) -> SpectralWindow:
-    """Safe scan bounds inside (0, pi^2 / (4 c^2 kappa))."""
-    cap = math.pi ** 2 / (4.0 * c * c * kappa)
-    return SpectralWindow(max(1e-12, 1e-6 * cap), (1.0 - 1e-9) * cap)
+    """Safe scan bounds inside (0, cap), cap = pi^2 / (4 c^2 kappa); a cap
+    that is not a finite positive double is a ValueError naming c and kappa."""
+    den = 4.0 * c * c * kappa
+    cap = math.pi ** 2 / den if den else math.inf
+    if not 0.0 < cap < math.inf:
+        raise ValueError(f"no spectral window: cap {cap} not representable (c={c}, kappa={kappa})")
+    return SpectralWindow(1e-6 * cap, (1.0 - 1e-9) * cap)
 
 
 def bracket_scan(residual, w: SpectralWindow, n_lambda: int) -> Bracket | None:
@@ -224,19 +228,19 @@ def principal_eigenvalue(a: float | np.ndarray, p: Params, cfg: SolverConfig) ->
 
     w = spectral_window(p.c, p.kappa)
     r_cap = residual(w.lambda_max)
-    if not math.isfinite(r_cap):
-        raise SolverError(f"non-finite residual at lambda={w.lambda_max}")
-    if r_cap > 0.0:
-        raise _above_cap(a, p, w)
+    _refuse_at_cap(a, p, w, r_cap)
     r_zero = p.beta0 + p.beta1 + p.beta0 * p.beta1
     lam, final, iters = _bisect(residual, Bracket(0.0, w.lambda_max, r_zero, r_cap), cfg.tol)
     return EigenResult(lam, final, iters, _certify(a, p, final.lo, final.hi, cfg.tol), True)
 
 
-def _above_cap(a: float, p: Params, w: SpectralWindow) -> SolverError:
-    return SolverError(
-        f"no bracket: lambda1 above the window cap {w.lambda_max:.6g} (a={a}, p={p})"
-    )
+def _refuse_at_cap(a: float, p: Params, w: SpectralWindow, r_cap: float) -> None:
+    """Refuse placement a unless its residual at the window cap is finite and <= 0."""
+    if not math.isfinite(r_cap):
+        raise SolverError(f"non-finite residual at lambda={w.lambda_max} (a={a}, p={p})")
+    if r_cap > 0.0:
+        raise SolverError(f"no bracket: lambda1 above the window cap {w.lambda_max:.6g} "
+                          f"(a={a}, p={p})")
 
 
 def _certify(a: float, p: Params, lo: float, hi: float, tol: float,
@@ -297,13 +301,8 @@ def _lockstep(a: np.ndarray, p: Params, cfg: SolverConfig) -> EigenResult:
     tol = cfg.tol
     with np.errstate(over="ignore", invalid="ignore"):
         r_hi = shooting_residual(a, p, np.full(a.shape, w.lambda_max))
-        refused = ~np.isfinite(r_hi) | (r_hi > 0.0)
-        if refused.any():
-            j = int(np.argmax(refused))
-            if not math.isfinite(r_hi[j]):
-                raise SolverError(
-                    f"non-finite residual at lambda={w.lambda_max} (a={a[j]}, p={p})")
-            raise _above_cap(float(a[j]), p, w)
+        j = int(np.argmin(np.isfinite(r_hi) & (r_hi <= 0.0)))  # first refused lane, else 0
+        _refuse_at_cap(float(a[j]), p, w, float(r_hi[j]))
         lo, hi = np.zeros(a.shape), np.full(a.shape, w.lambda_max)
         r_lo = np.full(a.shape, p.beta0 + p.beta1 + p.beta0 * p.beta1)
         iters = 0
@@ -380,15 +379,18 @@ def _end_piece(beta: float, lam: float, length: float) -> tuple[float, float, fl
     ``int y'^2 + beta y(0)^2`` and ``int y^2``.  In the basis ``A e^{mu s} +
     B e^{-mu s}``, ``A, B = (1 +- beta/mu) / 2``, the state is divided by
     ``e^{mu L}`` and the sums by ``e^{2 mu L}``, so they need only ``q =
-    e^{-2 mu L}`` and ``expm1(-2 mu L)``.  With ``beta >= 0`` the solution
-    grows inward, so nothing overflows and no decaying mode is rebuilt from
-    rounding."""
+    e^{-2 mu L}`` and ``e1 = -expm1(-2 mu L) / (2 mu)``.  The end state is
+    ``(1 + q)/2 + beta e1`` and ``lambda e1 + beta (1 + q)/2``, sums of
+    positive terms: ``A + B q`` would cancel where beta/mu is large and q
+    rounds to 1.  With ``beta >= 0`` the solution grows inward, so nothing
+    overflows and no decaying mode is rebuilt from rounding."""
     mu = math.sqrt(lam)
     grow, decay = 0.5 * (1.0 + beta / mu), 0.5 * (1.0 - beta / mu)
     q = math.exp(-2.0 * mu * length)
     e1 = -math.expm1(-2.0 * mu * length) / (2.0 * mu)
     aa, bb, ab = grow * grow * e1, decay * decay * q * e1, 2.0 * grow * decay * length * q
-    return grow + decay * q, mu * (grow - decay * q), beta * q + lam * (aa + bb - ab), aa + bb + ab
+    y, dy = 0.5 * (1.0 + q) + beta * e1, lam * e1 + 0.5 * beta * (1.0 + q)
+    return y, dy, beta * q + lam * (aa + bb - ab), aa + bb + ab
 
 
 def _energy_and_mass(a: float, p: Params, lam: float) -> tuple[float, float]:

@@ -16,7 +16,7 @@ from pathlib import Path
 from . import classifier
 from .characteristic import hypothesis_bounds
 from .classifier import CaseLabel, Prediction, classify_pair, compare_prediction, numeric_argmin
-from .eigensolver import SolverError, lambda_curve, spectral_window
+from .eigensolver import SolverError, SpectralWindow, lambda_curve, spectral_window
 from .model import Params, SweepConfig, validate_params, validate_sweep_config
 
 log = logging.getLogger(__name__)
@@ -59,8 +59,9 @@ def grid_pairs(cfg: SweepConfig) -> list[tuple[float, float]]:
     return [(b0, b1) for b0 in grid for b1 in grid]
 
 
-def _compute_pair(args: tuple[float, float, SweepConfig]) -> tuple[SweepRow, Curve | None]:
-    beta0, beta1, cfg = args
+def _compute_pair(args: tuple[float, float, SweepConfig, SpectralWindow]
+                  ) -> tuple[SweepRow, Curve | None]:
+    beta0, beta1, cfg, w = args
     p = Params(cfg.c, cfg.kappa, beta0, beta1)
     try:
         validate_params(p)
@@ -72,9 +73,6 @@ def _compute_pair(args: tuple[float, float, SweepConfig]) -> tuple[SweepRow, Cur
     label, pred = classify_pair(p, curve)
     a_min, lam_min, j = numeric_argmin(curve)
     match, numeric = compare_prediction(pred, j, cfg.solver.n_a)
-    if match is None:
-        numeric = None  # unclassified rows carry no protocol columns
-    w = spectral_window(cfg.c, cfg.kappa)
     hyp = hypothesis_bounds(p, (w.lambda_min, w.lambda_max))
     row = SweepRow(
         cfg.c, cfg.kappa, beta0, beta1,
@@ -93,20 +91,22 @@ def run_sweep(
 
     ``pairs`` overrides the rectangular beta grid (used to reproduce a fixed
     list of published pairs).  Results are gathered in pair order regardless
-    of ``workers``.
+    of ``workers``.  The spectral window is computed once, before any pair,
+    so a base instance without one raises ValueError and writes no row.  A
+    pool starts at most one process per pair, and none for a single pair.
     """
     validate_sweep_config(cfg)
+    w = spectral_window(cfg.c, cfg.kappa)
     if pairs is None:
         pairs = grid_pairs(cfg)
-    tasks = [(b0, b1, cfg) for b0, b1 in pairs]
+    tasks = [(b0, b1, cfg, w) for b0, b1 in pairs]
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_compute_pair, tasks, chunksize=1))
     else:
         results = [_compute_pair(t) for t in tasks]
-    rows = [r for r, _ in results]
-    curves = [c for _, c in results]
-    return rows, curves
+    return [r for r, _ in results], [c for _, c in results]
 
 
 def _cell(v, spec: str) -> str:
@@ -148,7 +148,8 @@ def write_curve_data(curve: Curve, path: Path) -> None:
 
 
 def write_curve_svg(curve: Curve, row: SweepRow, title: str, path: Path) -> None:
-    """Minimal standalone line plot: axes, polyline, argmin marker."""
+    """Minimal standalone line plot: axes, polyline, and a marker at the
+    row's argmin (``argmin_a``, ``lambda_min``)."""
     width, height = 640, 480
     ml, mr, mt, mb = 70, 20, 40, 50
     xs = [a for a, _ in curve]
@@ -164,7 +165,6 @@ def write_curve_svg(curve: Curve, row: SweepRow, title: str, path: Path) -> None
     def py(lam: float) -> float:
         return height - mb - (lam - ylo) / (yhi - ylo) * (height - mt - mb)
 
-    a_min, lam_min, _ = numeric_argmin(curve)
     pts = " ".join(f"{px(a):.2f},{py(lam):.2f}" for a, lam in curve)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
@@ -191,7 +191,7 @@ def write_curve_svg(curve: Curve, row: SweepRow, title: str, path: Path) -> None
         f'<polyline points="{pts}" fill="none" stroke="#1f77b4" stroke-width="1.5"/>'
     )
     parts.append(
-        f'<circle cx="{px(a_min):.2f}" cy="{py(lam_min):.2f}" r="4" fill="#d62728"/>'
+        f'<circle cx="{px(row.argmin_a):.2f}" cy="{py(row.lambda_min):.2f}" r="4" fill="#d62728"/>'
     )
     parts.append(
         f'<text x="{width / 2:.0f}" y="{height - 12}" text-anchor="middle" '

@@ -135,7 +135,10 @@ def load_sweep_config(path: str | Path, overrides: dict | None = None) -> SweepC
             key, val = key.strip(), val.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = CONFIG_KEYS[key](val)
+            try:
+                values[key] = CONFIG_KEYS[key](val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val

@@ -187,7 +187,7 @@ class TestComparePrediction:
     def test_no_prediction_returns_none(self):
         match, numeric = compare_prediction(Prediction(None), 5, 81)
         assert match is None
-        assert numeric == "interior"
+        assert numeric is None
 
     def test_total_over_all_combinations(self):
         for loc in (LOC_LEFT, LOC_RIGHT, LOC_INTERIOR, LOC_EITHER):

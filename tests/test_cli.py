@@ -217,6 +217,21 @@ class TestSweep:
         assert code == 1
 
     @pytest.mark.parametrize("line, message", [
+        ("n_beta = 3.5", "n_beta: invalid literal for int() with base 10: '3.5'"),
+        ("c = abc", "c: could not convert string to float: 'abc'"),
+    ])
+    def test_bad_config_value_names_file_and_line(self, tmp_path, monkeypatch, capsys,
+                                                  line, message):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(f"# sweep\nn_a = 3\n{line}  # bad\n")
+        code = main(["sweep", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: {cfg}:3: {message}\n"
+
+    @pytest.mark.parametrize("line, message", [
         ("1 2 3", "too many values to unpack (expected 2)"),
         ("0.6", "not enough values to unpack (expected 2, got 1)"),
         ("abc 1", "could not convert string to float: 'abc'"),
@@ -364,3 +379,24 @@ class TestVerifyLimits:
         assert code == 1
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+# 4 c^2 kappa underflows to 0 (c = 1e-200) or leaves the window cap beyond the
+# double range: every command refuses the instance by name
+@pytest.mark.parametrize("c, kappa", [("1e-200", "2"), ("1e-155", "2"), ("0.3", "1e-320")])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--beta0", "1", "--beta1", "1", "--a", "0"],
+    ["curve", "--beta0", "1", "--beta1", "1", "--n-a", "3"],
+    ["check-hypotheses", "--beta0", "1"],
+    ["verify-limits", "--a", "0"],
+    ["sweep", "--n-beta", "2", "--n-a", "3"],
+], ids=lambda argv: argv[0])
+def test_unrepresentable_window_exit_1(tmp_path, monkeypatch, capsys, argv, c, kappa):
+    monkeypatch.chdir(tmp_path)
+    code = main([*argv, "--c", c, "--kappa", kappa])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and not list(tmp_path.iterdir())
+    assert captured.err.startswith("error: no spectral window")
+    assert f"(c={float(c)}, kappa={float(kappa)})" in captured.err
+    assert "Traceback" not in captured.err

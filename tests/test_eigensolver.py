@@ -50,11 +50,22 @@ class TestSpectralWindow:
         assert w.lambda_max == pytest.approx((1.0 - 1e-9) * math.pi ** 2, rel=1e-12)
 
     def test_ordering_property(self, rng):
-        for _ in range(100):
-            c = rng.uniform(0.01, 0.99)
-            kappa = rng.uniform(0.01, 50.0)
-            w = spectral_window(c, kappa)
-            assert 0.0 < w.lambda_min < w.lambda_max
+        # the whole valid domain, log-uniform: a window inside (0, inf) or a
+        # ValueError naming c and kappa, never an inverted window
+        draws = [(1e-200, 2.0), (1e-155, 2.0), (0.3, 1e-320), (0.3, 1e14), (1e-154, 2.0)]
+        for _ in range(2000):
+            draws.append((math.exp(rng.uniform(math.log(1e-300), 0.0)),
+                          math.exp(rng.uniform(math.log(1e-320), math.log(1e308)))))
+        refused = 0
+        for c, kappa in draws:
+            try:
+                w = spectral_window(c, kappa)
+            except ValueError as exc:
+                assert f"c={c}, kappa={kappa}" in str(exc)
+                refused += 1
+                continue
+            assert 0.0 < w.lambda_min < w.lambda_max < math.inf
+        assert 0 < refused < len(draws)
 
 
 class TestBracketScan:
@@ -519,6 +530,14 @@ class TestRayleighCheck:
     def test_small_relative_error(self, p_default, cfg_default):
         res = principal_eigenvalue(0.35, p_default, cfg_default)
         assert rayleigh_check(0.35, p_default, res) <= 1e-6
+
+    @pytest.mark.parametrize("kappa", [1e20, 1e30, 1e200, 1e308])
+    def test_keeps_its_digits_at_large_kappa(self, kappa, cfg_default):
+        # lambda1 is tiny, so beta/sqrt(lambda) is huge and e^{-2 mu L} rounds
+        # to 1: the end state must not be a difference of its two modes
+        p = Params(0.3, kappa, 1.0, 1.0)
+        res = principal_eigenvalue(0.2, p, cfg_default)
+        assert rayleigh_check(0.2, p, res) <= 1e-8
 
     def test_quotient_scale_invariance(self, p_default, cfg_default):
         # the quotient is homogeneous of degree zero in the eigenfunction

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+import robineig.harness
 from robineig.harness import (
     CSV_HEADER,
     SweepRow,
@@ -88,6 +89,31 @@ class TestRunSweep:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             run_sweep(SweepConfig(n_beta=1))
+
+    def test_pool_starts_no_more_processes_than_pairs(self, monkeypatch):
+        started = []
+
+        class FakeExecutor:
+            """Records its size and maps in this process; forks nothing."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(robineig.harness, "ProcessPoolExecutor", FakeExecutor)
+        cfg = fast_cfg(solver=SolverConfig(n_a=3))
+        rows, _ = run_sweep(cfg, pairs=[(0.6, 0.6), (1.0, 2.0)], workers=8)
+        assert started == [2] and len(rows) == 2
+        rows, _ = run_sweep(cfg, pairs=[(0.6, 0.6)], workers=8)
+        assert started == [2] and len(rows) == 1  # a single pair runs without a pool
 
 
 class TestCsv:
