@@ -33,22 +33,24 @@ _LIMIT_TOL = 1e-12
 _H_SAMPLES = 256
 
 
-def char_f(a: float, p: Params, lam: float) -> float:
-    """Characteristic function; zero iff lam is an eigenvalue for placement a."""
+def char_f(a: float, p: Params, lam: float, s: float = 1.0) -> float:
+    """Characteristic function; zero iff lam is an eigenvalue for placement a.  ``s``
+    scales its kappa factors, so a power of two s gives s times it, exactly."""
     sq = math.sqrt(lam)
     k = p.kappa
+    kp, km, rk = (k + 1.0) * s, (k - 1.0) * s, math.sqrt(k) * s
     b0, b1 = p.beta0, p.beta1
     sn = math.sin(sq * math.sqrt(k) * p.c)
     cs = math.cos(sq * math.sqrt(k) * p.c)
     y = sq * (2.0 * a + p.c - 1.0)
     z = sq * (1.0 - p.c)
     return (
-        (k + 1.0) * (lam - b0 * b1) * math.cosh(y) * sn
-        + (k + 1.0) * (b0 - b1) * sq * math.sinh(y) * sn
-        + math.cosh(z) * ((k - 1.0) * (lam + b0 * b1) * sn
-                          - 2.0 * sq * math.sqrt(k) * (b0 + b1) * cs)
-        + math.sinh(z) * ((k - 1.0) * (b0 + b1) * sq * sn
-                          - 2.0 * math.sqrt(k) * (b0 * b1 + lam) * cs)
+        kp * (lam - b0 * b1) * math.cosh(y) * sn
+        + kp * (b0 - b1) * sq * math.sinh(y) * sn
+        + math.cosh(z) * (km * (lam + b0 * b1) * sn
+                          - 2.0 * sq * rk * (b0 + b1) * cs)
+        + math.sinh(z) * (km * (b0 + b1) * sq * sn
+                          - 2.0 * rk * (b0 * b1 + lam) * cs)
     )
 
 
@@ -118,10 +120,11 @@ def hypothesis_bounds(p: Params, lambda_window: tuple[float, float]) -> Hypothes
     reproducible), evaluated as one array expression.  With ``z =
     sqrt(lambda) (1-c)`` and ``theta = c sqrt(kappa lambda)``, h is written
     as ``e^z [(kappa-1) sin theta (1 + e^{-2z}) - 2 sqrt(kappa) cos theta
-    (1 - e^{-2z})] / (2 (kappa+1) sin theta)``, so only the factor ``e^z``
-    can overflow: an h beyond the double range reads as a signed infinity,
-    so h_max is finite or ``+-inf`` on a spectral window (``-inf`` when h
-    is below the double range at every sample, as at kappa = 1e-300).
+    (1 - e^{-2z})] / (2 (kappa+1) sin theta)``, with ``kappa+1`` divided out
+    before either term is formed, so only the factor ``e^z`` can overflow,
+    even at kappa = 1e308: an h beyond the double range reads as a signed
+    infinity, so h_max is finite or ``+-inf`` on a spectral window (``-inf``
+    when h is below the double range at every sample, as at kappa = 1e-300).
     """
     lo, hi = lambda_window
     cs = c_star(p.kappa)
@@ -132,8 +135,8 @@ def hypothesis_bounds(p: Params, lambda_window: tuple[float, float]) -> Hypothes
     lam = lo + (hi - lo) * np.arange(_H_SAMPLES) / (_H_SAMPLES - 1)
     th, z = p.c * np.sqrt(k * lam), np.sqrt(lam) * (1.0 - p.c)
     sn, q = np.sin(th), np.exp(-2.0 * z)
-    ratio = (((k - 1.0) * sn * (1.0 + q) - 2.0 * math.sqrt(k) * np.cos(th) * (1.0 - q))
-             / (2.0 * (k + 1.0) * sn))
+    ratio = (((k - 1.0) / (k + 1.0) * sn * (1.0 + q)
+              - 2.0 * math.sqrt(k) / (k + 1.0) * np.cos(th) * (1.0 - q)) / (2.0 * sn))
     with np.errstate(over="ignore"):  # h beyond the double range reads +-inf
         h_max = float(np.max(np.exp(z) * ratio))
     return HypothesisReport(cs, bound, c_ok, beta0_ok, h_max)

@@ -24,7 +24,7 @@ from .eigensolver import (
 )
 from .harness import emit_figures, run_sweep, write_csv, write_curve_data
 from .model import (CONFIG_KEYS, Params, SolverConfig, check_instance, load_pairs,
-                    load_sweep_config, validate_params, validate_solver_config)
+                    load_sweep_config, validate_solver_config)
 
 # the sweep flags not named "--" + key with "_" as "-", and their help
 _SWEEP_FLAGS = {"out_csv": ("--out", "output CSV path"),
@@ -65,12 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(sp)
     sp.add_argument("--a", type=float, required=True, help="favourable interval left end")
     sp.add_argument("--tol", type=float, default=None)
+    sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("curve", help="eigenvalue curve over the placement grid")
     _add_instance_args(sp)
     sp.add_argument("--n-a", type=int, default=None)
     sp.add_argument("--out", type=str, default=None, help="write data file instead of stdout")
     sp.add_argument("--tol", type=float, default=None)
+    sp.set_defaults(func=cmd_curve)
 
     sp = sub.add_parser("sweep", help="batch verification over a Robin grid")
     sp.add_argument("--config", type=str, default=None, help="flat key=value config file")
@@ -80,20 +82,23 @@ def build_parser() -> argparse.ArgumentParser:
     for key, typ in CONFIG_KEYS.items():
         flag, help_ = _SWEEP_FLAGS.get(key, ("--" + key.replace("_", "-"), None))
         sp.add_argument(flag, dest=key, type=typ, default=None, help=help_)
+    sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("check-hypotheses", help="theorem hypothesis status")
     _add_instance_args(sp, with_betas=False)
     sp.add_argument("--beta0", type=float, required=True)
+    sp.set_defaults(func=cmd_check_hypotheses)
 
     sp = sub.add_parser("verify-limits", help="Neumann/Dirichlet limit equation roots")
     _add_instance_args(sp, with_betas=False)
     sp.add_argument("--a", type=float, required=True)
+    sp.set_defaults(func=cmd_verify_limits)
 
     return parser
 
 
 def cmd_solve(args) -> None:
-    p = validate_params(Params(args.c, args.kappa, args.beta0, args.beta1))
+    p = Params(args.c, args.kappa, args.beta0, args.beta1)
     res = principal_eigenvalue(args.a, p, _solver_config(args))
     rayleigh = rayleigh_check(args.a, p, res)
     print(f"lambda: {res.lam:.12g}")
@@ -105,7 +110,7 @@ def cmd_solve(args) -> None:
 
 
 def cmd_curve(args) -> None:
-    p = validate_params(Params(args.c, args.kappa, args.beta0, args.beta1))
+    p = Params(args.c, args.kappa, args.beta0, args.beta1)
     extra = {"n_a": args.n_a} if args.n_a is not None else {}
     curve = lambda_curve(p, _solver_config(args, **extra))
     if args.out:
@@ -118,7 +123,7 @@ def cmd_curve(args) -> None:
 
 def cmd_sweep(args) -> None:
     cfg = load_sweep_config(args.config, {key: getattr(args, key) for key in CONFIG_KEYS})
-    pairs = load_pairs(args.pairs_file) if args.pairs_file else None
+    pairs = load_pairs(args.pairs_file, cfg.c, cfg.kappa) if args.pairs_file else None
     rows, curves = run_sweep(cfg, pairs=pairs, workers=args.workers)
     write_csv(rows, cfg.out_csv)
     written = emit_figures(rows, curves, cfg.fig_dir)
@@ -147,20 +152,11 @@ def cmd_verify_limits(args) -> None:
         print(f"neumann_vs_lou_gap: {abs(neu - lou_n) / neu:.3g}")
 
 
-_COMMANDS = {
-    "solve": cmd_solve,
-    "curve": cmd_curve,
-    "sweep": cmd_sweep,
-    "check-hypotheses": cmd_check_hypotheses,
-    "verify-limits": cmd_verify_limits,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
     try:
         args = build_parser().parse_args(argv)
-        _COMMANDS[args.command](args)
+        args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

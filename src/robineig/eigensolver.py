@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -68,12 +69,15 @@ class EigenResult:
 
 
 def spectral_window(c: float, kappa: float) -> SpectralWindow:
-    """Safe scan bounds inside (0, cap), cap = pi^2 / (4 c^2 kappa); a cap
-    that is not a finite positive double is a ValueError naming c and kappa."""
+    """Safe scan bounds inside (0, cap), cap = pi^2 / (4 c^2 kappa); a ValueError naming
+    c and kappa unless the cap is positive with ``256 cap max(1, kappa)`` finite, the
+    headroom for the multiples of the cap that the commands form (the h grid, the
+    Dirichlet window of 4 caps, the rate ``cap kappa``, a midpoint's ``lo + hi``)."""
     den = 4.0 * c * c * kappa
     cap = math.pi ** 2 / den if den else math.inf
-    if not 0.0 < cap < math.inf:
-        raise ValueError(f"no spectral window: cap {cap} not representable (c={c}, kappa={kappa})")
+    if not (0.0 < cap and 256.0 * cap * max(1.0, kappa) < math.inf):
+        raise ValueError(f"no spectral window: the cap pi^2/(4 c^2 kappa) = {cap} must be "
+                         f"positive with 256 cap max(1, kappa) finite (c={c}, kappa={kappa})")
     return SpectralWindow(1e-6 * cap, (1.0 - 1e-9) * cap)
 
 
@@ -217,15 +221,7 @@ def principal_eigenvalue(a: float | np.ndarray, p: Params, cfg: SolverConfig) ->
     if isinstance(a, np.ndarray):
         return _lockstep(a, p, cfg)
     check_placement(a, p.c)
-
-    def residual(lam: float) -> float:
-        try:
-            return shooting_residual(a, p, lam)
-        except OverflowError:
-            raise SolverError(
-                f"shooting residual overflows at lambda={lam:.6g} (a={a}, p={p})"
-            ) from None
-
+    residual = partial(shooting_residual, a, p)
     w = spectral_window(p.c, p.kappa)
     r_cap = residual(w.lambda_max)
     _refuse_at_cap(a, p, w, r_cap)
@@ -336,11 +332,14 @@ def char_f_residual(a: float, p: Params, lam: float) -> float:
     with ``mu = sqrt(lambda)``.  Each of the four terms is at most of that
     order, because ``|2a + c - 1| <= 1 - c``.  So the ratio can be compared
     across instances, where ``|char_f|`` itself grows like ``e^{mu (1-c)}``
-    and ``beta0 beta1``; it stays near 1e-11 or below."""
+    and ``beta0 beta1``; it stays near 1e-11 or below.  Both are taken times
+    ``s``, a power of two below ``1/(kappa+1)``: no bit of the ratio changes,
+    and kappa near 1e308 overflows neither."""
     mu = math.sqrt(lam)
-    scale = (math.cosh(mu * (1.0 - p.c)) * (p.kappa + 1.0 + 2.0 * math.sqrt(p.kappa))
+    s = math.ldexp(1.0, -math.frexp(p.kappa + 1.0)[1])
+    scale = (math.cosh(mu * (1.0 - p.c)) * ((p.kappa + 1.0 + 2.0 * math.sqrt(p.kappa)) * s)
              * (lam + p.beta0 * p.beta1 + mu * (p.beta0 + p.beta1)))
-    return abs(char_f(a, p, lam)) / scale
+    return abs(char_f(a, p, lam, s)) / scale
 
 
 def a_grid(c: float, n_a: int) -> list[float]:

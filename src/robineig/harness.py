@@ -17,7 +17,7 @@ from . import classifier
 from .characteristic import hypothesis_bounds
 from .classifier import CaseLabel, Prediction, classify_pair, compare_prediction, numeric_argmin
 from .eigensolver import SolverError, SpectralWindow, lambda_curve, spectral_window
-from .model import Params, SweepConfig, validate_params, validate_sweep_config
+from .model import Params, SweepConfig, validate_sweep_config
 
 log = logging.getLogger(__name__)
 
@@ -64,7 +64,6 @@ def _compute_pair(args: tuple[float, float, SweepConfig, SpectralWindow]
     beta0, beta1, cfg, w = args
     p = Params(cfg.c, cfg.kappa, beta0, beta1)
     try:
-        validate_params(p)
         curve = lambda_curve(p, cfg.solver)
     except (SolverError, ValueError) as exc:
         log.warning("pair (%.4g, %.4g) failed: %s", beta0, beta1, exc)
@@ -215,12 +214,8 @@ def emit_figures(
     fig_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for regime, loc, name in _CELLS:
-        found = None
-        for row, curve in zip(rows, curves):
-            if curve is not None and row.regime == regime and row.predicted == loc \
-                    and row.comparison is not None:
-                found = (row, curve)
-                break
+        found = next(((row, curve) for row, curve in zip(rows, curves)
+                      if row.regime == regime and row.predicted == loc), None)
         if found is None:
             log.info("figure cell %s: no classified pair, skipped", name)
             continue

@@ -148,13 +148,15 @@ def load_sweep_config(path: str | Path, overrides: dict | None = None) -> SweepC
     return validate_sweep_config(SweepConfig(solver=solver, **values))
 
 
-def load_pairs(path: str | Path) -> list[tuple[float, float]]:
-    """The ``beta0 beta1`` lines of a pairs file, with the config file's comment rule."""
+def load_pairs(path: str | Path, c: float, kappa: float) -> list[tuple[float, float]]:
+    """The ``beta0 beta1`` lines of a pairs file, with the config file's
+    comment rule, each checked by ``validate_params`` at c and kappa."""
     pairs = []
     for lineno, _, line in _data_lines(path):
         try:
             b0, b1 = line.split()
-            pairs.append((float(b0), float(b1)))
+            p = validate_params(Params(c, kappa, float(b0), float(b1)))
+            pairs.append((p.beta0, p.beta1))
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     return pairs

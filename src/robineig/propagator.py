@@ -50,10 +50,14 @@ def shooting_residual(a, p: Params, lam):
     Zero exactly at the eigenvalues for placement a.  With ``lam`` a numpy
     array (and ``a`` a float or an array of the same shape) it is evaluated
     lane by lane; a float ``lam`` stays on ``math``, which is several times
-    faster than numpy on one value.
+    faster than numpy on one value.  It returns ``inf`` where math's cosh or
+    sinh raises ``OverflowError``, as numpy's lanes read inf or nan.
     """
     xp = np if isinstance(lam, np.ndarray) else math
-    u, du = propagate(1.0, p.beta0, lam, p.kappa, a, p.c, 1.0 - a - p.c, xp)
+    try:
+        u, du = propagate(1.0, p.beta0, lam, p.kappa, a, p.c, 1.0 - a - p.c, xp)
+    except OverflowError:
+        return math.inf
     return du + p.beta1 * u
 
 

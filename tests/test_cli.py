@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import pytest
@@ -85,7 +86,19 @@ class TestSolve:
         ])
         err = capsys.readouterr().err
         assert code == 2
-        assert "overflows at lambda=" in err
+        assert err.startswith("solver failure: non-finite residual at lambda=")
+        assert "(a=0.3, p=Params(c=0.001, kappa=0.01, beta0=1.0, beta1=1.0))" in err
+
+    def test_overflow_is_refused_as_the_curve_refuses_it(self, capsys):
+        # at a = 0 math overflows and the lanes read inf or nan: one refusal
+        args = ["--c", "0.001", "--kappa", "0.01", "--beta0", "1", "--beta1", "1"]
+        assert main(["solve", *args, "--a", "0"]) == 2
+        solve = capsys.readouterr()
+        assert main(["curve", *args, "--n-a", "9"]) == 2
+        curve = capsys.readouterr()
+        assert solve.out == curve.out == ""
+        assert solve.err == curve.err
+        assert solve.err.startswith("solver failure: non-finite residual at lambda=")
 
     def test_decaying_eigenfunction_is_certified(self, capsys):
         # lambda1 = 4211.23: the eigenfunction decays like e^-46 along the
@@ -235,6 +248,10 @@ class TestSweep:
         ("1 2 3", "too many values to unpack (expected 2)"),
         ("0.6", "not enough values to unpack (expected 2, got 1)"),
         ("abc 1", "could not convert string to float: 'abc'"),
+        ("nan 1", "beta0 must be finite: nan"),
+        ("-1 2", "Robin parameters must be >= 0: -1.0, 2.0"),
+        ("inf 3", "beta0 must be finite: inf"),
+        ("0 0", "Neumann pair rejected: beta0 = beta1 = 0"),
     ])
     def test_bad_pairs_line_names_file_and_line(self, tmp_path, monkeypatch, capsys,
                                                 line, message):
@@ -309,6 +326,18 @@ class TestCheckHypotheses:
         assert bound in captured.out.splitlines()
         assert h_max in captured.out.splitlines()
 
+    @pytest.mark.parametrize("kappa", ["1e300", "1e308"])
+    def test_h_max_is_finite_at_the_top_of_kappa(self, capsys, kappa):
+        # (kappa - 1) sin theta and 2 (kappa + 1) sin theta would overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["check-hypotheses", "--c", "0.3", "--kappa", kappa, "--beta0", "1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.err == ""
+        h_max = float(captured.out.splitlines()[-1].removeprefix("h_max: "))
+        assert math.isfinite(h_max)
+
 
 class TestVerifyLimits:
     def test_general_placement(self, capsys):
@@ -381,9 +410,11 @@ class TestVerifyLimits:
         assert captured.err == f"error: {message}\n"
 
 
-# 4 c^2 kappa underflows to 0 (c = 1e-200) or leaves the window cap beyond the
-# double range: every command refuses the instance by name
-@pytest.mark.parametrize("c, kappa", [("1e-200", "2"), ("1e-155", "2"), ("0.3", "1e-320")])
+# 4 c^2 kappa underflows to 0 (c = 1e-200), or the window cap or a multiple of
+# it that a command forms is beyond the double range: every command refuses the
+# instance by name
+@pytest.mark.parametrize("c, kappa", [("1e-200", "2"), ("1e-155", "2"), ("0.3", "1e-320"),
+                                      ("1e-154", "2"), ("1e-153", "2"), ("1e-162", "1e100")])
 @pytest.mark.parametrize("argv", [
     ["solve", "--beta0", "1", "--beta1", "1", "--a", "0"],
     ["curve", "--beta0", "1", "--beta1", "1", "--n-a", "3"],
@@ -393,10 +424,12 @@ class TestVerifyLimits:
 ], ids=lambda argv: argv[0])
 def test_unrepresentable_window_exit_1(tmp_path, monkeypatch, capsys, argv, c, kappa):
     monkeypatch.chdir(tmp_path)
-    code = main([*argv, "--c", c, "--kappa", kappa])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([*argv, "--c", c, "--kappa", kappa])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == "" and not list(tmp_path.iterdir())
     assert captured.err.startswith("error: no spectral window")
     assert f"(c={float(c)}, kappa={float(kappa)})" in captured.err
-    assert "Traceback" not in captured.err
+    assert "Traceback" not in captured.err and "Warning" not in captured.err

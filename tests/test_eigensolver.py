@@ -11,7 +11,7 @@ from test_characteristic import leftmost_char_f_root
 from theory import scan_loop
 
 import robineig.eigensolver
-from robineig.characteristic import char_f
+from robineig.characteristic import LIMIT_KINDS, char_f, hypothesis_bounds, limit_root
 from robineig.eigensolver import (
     _POSITIVITY_XS,
     Bracket,
@@ -66,6 +66,40 @@ class TestSpectralWindow:
                 continue
             assert 0.0 < w.lambda_min < w.lambda_max < math.inf
         assert 0 < refused < len(draws)
+
+    def test_every_accepted_window_serves_every_command(self, rng):
+        # the same domain: with warnings as errors, every window accepted
+        # gives an h_max that is a number (a signed infinity where h is
+        # beyond the double range), each limit root finite or refused with
+        # "no root", and at a = 0 and a = (1-c)/2 a solve with finite
+        # certificates or a SolverError
+        accepted = 0
+        for _ in range(3000):
+            c = math.exp(rng.uniform(math.log(1e-300), 0.0))
+            kappa = math.exp(rng.uniform(math.log(1e-320), math.log(1e308)))
+            p = Params(c, kappa, *(10.0 ** rng.uniform(-4.0, 3.0, size=2)).tolist())
+            try:
+                w = spectral_window(c, kappa)
+            except ValueError:
+                continue
+            accepted += 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                h_max = hypothesis_bounds(p, (w.lambda_min, w.lambda_max)).h_max
+                assert not math.isnan(h_max), p
+                for a in (0.0, 0.5 * (1.0 - c)):
+                    for kind in LIMIT_KINDS[:2] if a else LIMIT_KINDS:
+                        try:
+                            assert math.isfinite(limit_root(kind, a, c, kappa)), (kind, a, p)
+                        except ValueError as exc:
+                            assert str(exc).startswith("no root"), (kind, a, p)
+                    try:
+                        res = principal_eigenvalue(a, p, SolverConfig())
+                        certificates = (res.lam, res.char_f_residual, rayleigh_check(a, p, res))
+                    except SolverError:
+                        continue
+                    assert all(map(math.isfinite, certificates)), (a, p, certificates)
+        assert 0 < accepted < 3000
 
 
 class TestBracketScan:
